@@ -6,7 +6,6 @@ quadratic-growth and sparse convergence-rate theory, and noise-sweep
 experiments that measure the predicted rates empirically.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .analysis import (
     InjectivityReport,
     RateConstants,
@@ -68,6 +67,10 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# kept constant: perfbench/child.py records it, and perfbench/run.py --compare
+# reports every metric as unresolved when it changes
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",

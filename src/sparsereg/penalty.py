@@ -10,8 +10,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import prox_power
-
 __all__ = [
     "PenaltySpec",
     "BregmanReport",
@@ -234,4 +232,51 @@ def prox(z, tau: float, spec: PenaltySpec) -> np.ndarray:
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     z = _check_len(z, spec)
-    return prox_power(z, tau * spec.weights, spec.q)
+    return _prox_power(z, tau * spec.weights, spec.q)
+
+
+# The Newton loop below stops once no lane decreases: convergence is
+# quadratic, and a lane at its floating-point root is not lowered again.
+# That takes 5 to 12 passes for 1.001 <= q <= 1.999.  The cap is a safety
+# bound only, in case rounding lets some lane creep down an ulp per pass.
+_NEWTON_MAX_ITER = 100
+
+
+def _prox_power(z, thresh, q):
+    """Coefficientwise minimizer of x -> 0.5*(x - z_i)^2 + thresh_i*|x|^q.
+
+    ``z`` and ``thresh`` are 1-d float arrays of equal length, ``thresh``
+    nonnegative, ``1 <= q <= 2``.  q = 1 and q = 2 are closed forms.  For
+    interior q the stationarity equation x + c*x^(q-1) = |z|, c = q*thresh,
+    is solved in y = x^(q-1): g(y) = y^r + c*y - |z| with r = 1/(q-1) is
+    convex and increasing, so Newton started from the upper bound
+    min(|z|/c, |z|^(q-1)) decreases monotonically onto the root.
+
+    For 1.001 <= q < 2, |z| in [1e-8, 1e6] and thresh in [1e-4, 1e2] the
+    result x meets |x - x*| <= 1e-12*|x*| + 1e-300 against the exact root
+    x*: the bound is relative down to underflow, roots near zero included.
+    Mapping y back to x = y^r multiplies the relative rounding error by
+    about r, so below q = 1.001 the error grows like 1e-16/(q-1), e.g.
+    1.1e-12 relative at q = 1.0001.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    thresh = np.asarray(thresh, dtype=np.float64)
+    if q == 1.0:
+        return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    if q == 2.0:
+        return z / (1.0 + 2.0 * thresh)
+
+    a = np.abs(z)
+    c = q * thresh
+    r = 1.0 / (q - 1.0)
+    # thresh = 0 gives |z|/0 = inf (or nan at z = 0) and a zero derivative
+    # at y = 0; fmin drops those nans and keeps such lanes at their bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.fmin(a / c, a ** (q - 1.0))
+        for _ in range(_NEWTON_MAX_ITER):
+            yr1 = y ** (r - 1.0)
+            y_new = y - (yr1 * y + c * y - a) / (r * yr1 + c)
+            if not (y_new < y).any():
+                break
+            y = np.fmin(y, y_new)
+    return np.sign(z) * y**r

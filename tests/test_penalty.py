@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsereg import penalty
 from sparsereg.penalty import (
     PenaltySpec,
     bregman_distance,
@@ -200,6 +201,52 @@ def test_prox_matches_scalar_oracle():
             got = prox(np.array([z]), tau, spec)[0]
             want = _scalar_prox_oracle(z, tau, w, q)
             assert abs(got - want) <= 1e-8
+
+
+def _log_bisection_root(a, c, q, iters=100):
+    # root x* of x + c*x^(q-1) = a per lane, by bisection in log x in
+    # extended precision; no Newton step, so it shares nothing with the
+    # kernel.  At the root x* >= a/2 or c*x*^(q-1) >= a/2, which brackets
+    # log x* between min(log(a/2), log(a/(2c))/(q-1)) and log(a)
+    a = np.asarray(a, dtype=np.longdouble)
+    c = np.asarray(c, dtype=np.longdouble)
+    qq = np.longdouble(q)
+    lo = np.minimum(np.log(a / 2), np.log(a / (2 * c)) / (qq - 1))
+    hi = np.log(a)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        above = np.exp(mid) + c * np.exp((qq - 1) * mid) > a
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.exp((lo + hi) / 2)
+
+
+def _assert_prox_near_root(z, thresh, q):
+    got = prox(z, 1.0, PenaltySpec(q, thresh))
+    want = np.sign(z) * _log_bisection_root(np.abs(z), q * thresh, q)
+    excess = np.abs(got - want) / (1e-12 * np.abs(want) + 1e-300)
+    assert np.all(excess <= 1.0), f"q = {q}: error {float(excess.max()):.3e} x the bound"
+
+
+def test_prox_root_near_zero():
+    # the root is -4.934e-11; a Newton iteration stopping on an absolute
+    # step of 1e-12 returned -5.7e-13 here
+    z = np.array([-0.002373110513369142])
+    _assert_prox_near_root(z, np.array([0.023152883405773695]), 1.1)
+
+
+def test_prox_relative_accuracy_sweep():
+    rng = np.random.default_rng(23)
+    for q in (1.001, 1.1, 1.5, 1.9, 1.999):
+        z = 10.0 ** rng.uniform(-8.0, 6.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+        thresh = 10.0 ** rng.uniform(-4.0, 2.0, 2000)
+        _assert_prox_near_root(z, thresh, q)
+
+
+def test_zero_threshold_is_identity():
+    z = np.linspace(-2.0, 2.0, 9)
+    for q in (1.0, 1.5, 2.0):
+        np.testing.assert_allclose(penalty._prox_power(z, np.zeros(9), q), z, atol=1e-12)
 
 
 def test_prox_optimality_on_grid():
