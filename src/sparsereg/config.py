@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from .experiments import PROBLEM_KINDS
+from .experiments import MIN_RATE_LEVELS, PROBLEM_KINDS, SQUARE_KINDS
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config", "load_config"]
 
@@ -114,6 +114,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("problem.n", f"must be a positive integer, got {cfg.n}")
     if cfg.m is not None and cfg.m < 1:
         fail("problem.m", f"must be a positive integer, got {cfg.m}")
+    if cfg.m is not None and cfg.m != cfg.n and cfg.kind in SQUARE_KINDS:
+        fail("problem.m", f"kind {cfg.kind} is square, so m must equal n={cfg.n}, got {cfg.m}")
     if not 0 <= cfg.sparsity <= cfg.n:
         fail("problem.sparsity", f"must lie in [0, n={cfg.n}], got {cfg.sparsity}")
     if not 1.0 <= cfg.q <= 2.0:
@@ -158,8 +160,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             "sweep.delta_min",
             f"must be below delta_max, got [{cfg.delta_min}, {cfg.delta_max}]",
         )
-    if cfg.delta_count < 1:
-        fail("sweep.delta_count", f"must be at least 1, got {cfg.delta_count}")
+    if cfg.delta_count < MIN_RATE_LEVELS:
+        fail(
+            "sweep.delta_count",
+            f"the rate fit needs at least {MIN_RATE_LEVELS} noise levels, got {cfg.delta_count}",
+        )
     if cfg.c_alpha <= 0:
         fail("sweep.c_alpha", f"must be positive, got {cfg.c_alpha}")
     if cfg.trials < 1:

@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 PROBLEM_KINDS = ("diagonal", "convolution", "random-dense", "toy-nonlinear", "csv")
+# kinds whose operator is n-by-n by construction, so m can only equal n
+SQUARE_KINDS = ("diagonal", "convolution")
+# fit_rate needs this many usable noise levels for a meaningful slope
+MIN_RATE_LEVELS = 4
 
 CSV_HEADER = "delta,alpha,trial,error_norm,residual_norm,err_bound,residual_bound,iterations,converged"
 
@@ -201,6 +205,8 @@ def generate_problem(
         raise ValueError(f"sparsity {sparsity} exceeds dimension {n}")
     if m is None:
         m = n
+    elif kind in SQUARE_KINDS and m != n:
+        raise ValueError(f"kind {kind!r} is square, so m must equal n={n}, got {m}")
     if weights is None:
         spec = PenaltySpec.uniform(q, weight, n)
     else:
@@ -427,9 +433,10 @@ def run_sweep(
             continue
         fit_deltas.append(delta)
         fit_errors.append(mean_error)
-    if len(fit_deltas) < 4:
+    if len(fit_deltas) < MIN_RATE_LEVELS:
         raise ValueError(
-            f"rate fit needs at least 4 usable noise levels, got {len(fit_deltas)}"
+            f"rate fit needs at least {MIN_RATE_LEVELS} usable noise levels, "
+            f"got {len(fit_deltas)}"
         )
     rate = fit_rate(fit_deltas, fit_errors)
     return SweepResult(rows=rows, rate=rate, constants=constants)

@@ -61,6 +61,23 @@ class ForwardOperator(ABC):
     def derivative_adjoint_apply(self, u, y) -> np.ndarray:
         """Evaluate the adjoint of the derivative of F at u on y."""
 
+    def column_norms_sq(self) -> np.ndarray:
+        """Squared Euclidean norm of each column of the derivative at 0.
+
+        For a linear operator these are the columns of its matrix.  This
+        fallback applies the derivative to every unit vector, n applies in
+        all; kinds that hold their structure override it.
+        """
+        at = np.zeros(self.n)
+        unit = np.zeros(self.n)
+        out = np.empty(self.n)
+        for j in range(self.n):
+            unit[j] = 1.0
+            column = self.derivative_apply(at, unit)
+            out[j] = column @ column
+            unit[j] = 0.0
+        return out
+
 
 class _DenseLinear(ForwardOperator):
     def __init__(self, matrix):
@@ -82,6 +99,9 @@ class _DenseLinear(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return self.matrix.T @ _as_vector(y, self._m, "data vector")
 
+    def column_norms_sq(self):
+        return np.einsum("ij,ij->j", self.matrix, self.matrix)
+
 
 class _DiagonalLinear(ForwardOperator):
     def __init__(self, singular_values):
@@ -102,6 +122,9 @@ class _DiagonalLinear(ForwardOperator):
 
     def derivative_adjoint_apply(self, u, y):
         return self.singular_values * _as_vector(y, self._m, "data vector")
+
+    def column_norms_sq(self):
+        return self.singular_values * self.singular_values
 
 
 class _CircularConvolution(ForwardOperator):
@@ -132,6 +155,10 @@ class _CircularConvolution(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         y = _as_vector(y, self._m, "data vector")
         return np.fft.irfft(np.fft.rfft(y) * np.conj(self._khat), self._n)
+
+    def column_norms_sq(self):
+        # every column is a circular shift of the zero-padded kernel
+        return np.full(self._n, float(self.kernel @ self.kernel))
 
 
 class _ToyNonlinear(ForwardOperator):

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .operators import ForwardOperator, operator_norm_sq
-from .penalty import PenaltySpec, penalty_value, prox
+from .penalty import PenaltySpec, _prox_power, penalty_value, prox
 
 __all__ = [
     "SolverConfig",
@@ -30,8 +30,10 @@ class SolverConfig:
 
     tol is a relative iterate-change threshold.  inner_max_iter and
     inner_tol control the linearized subproblem solves of the nonlinear
-    path and default to the outer values.  step_safety shrinks the step
-    below 1/L to absorb the slight underestimate of L by power iteration.
+    path and default to the outer values.  step_safety is a safety factor
+    s on the operator norm that power iteration estimates, from slightly
+    below, for both linear solvers: the p = 2 step is s/L, and the p = 1
+    primal-dual steps satisfy sigma*||K diag(tau)^(1/2)||^2 = s^2.
     """
 
     p: int
@@ -173,24 +175,38 @@ def solve_linear_p1(
 
     Primal-dual iteration on the saddle form max over the dual unit ball:
     the dual ascent step shifts by the data and projects back onto the
-    ball, the primal descent step applies the penalty prox.  Step sizes
-    satisfy sigma*tau*||K||^2 <= 1.  Stops when both iterates change less
-    than tol in relative terms.
+    ball, the primal descent step applies the penalty prox.  The primal
+    step is diagonally preconditioned (Pock & Chambolle 2011): coordinate
+    j steps by tau_j = s*t_j/sqrt(L) with t_j = 1/||K[:, j]||^2 and
+    L = ||K T^(1/2)||^2, T = diag(t), while the dual step stays the scalar
+    sigma = s/sqrt(L) because its prox is the projection onto the l2 ball.
+    With s = step_safety this gives sigma*||K diag(tau)^(1/2)||^2 = s^2,
+    below 1 for s < 1.  A zero column leaves its coordinate out of the
+    data term, so any step is admissible there; it gets the largest step
+    of the others and the prox alone drives it towards zero.  Stops when
+    both iterates change less than tol in relative terms.
     """
     data = _check_linear(op, data, 1, cfg)
     if spec.n != op.n:
         raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
-    lip = operator_norm_sq(op)
 
     def objective(u):
         return float(np.linalg.norm(op.apply(u) - data)) + cfg.alpha * penalty_value(u, spec)
 
     x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     trace = [objective(x)]
-    if lip <= 0.0:
+    with np.errstate(divide="ignore"):
+        t = 1.0 / op.column_norms_sq()
+    coupled = np.isfinite(t)
+    if not coupled.any():
+        # zero operator: the penalty alone drives every coefficient to zero
         zero = np.zeros(op.n)
         return _report(op, data, spec, cfg, zero, 0, True, trace + [objective(zero)])
-    sigma = tau = cfg.step_safety / np.sqrt(lip)
+    t[~coupled] = t[coupled].max()
+    lip = operator_norm_sq(_ColumnScaledOperator(op, np.sqrt(t)))
+    sigma = cfg.step_safety / np.sqrt(lip)
+    tau = sigma * t
+    thresh = tau * cfg.alpha * spec.weights
     y = np.zeros(op.m)
     x_bar = x.copy()
     iterations = 0
@@ -200,7 +216,7 @@ def solve_linear_p1(
         norm_y = float(np.linalg.norm(y_next))
         if norm_y > 1.0:
             y_next = y_next / norm_y
-        x_next = prox(x - tau * op.derivative_adjoint_apply(x, y_next), tau * cfg.alpha, spec)
+        x_next = _prox_power(x - tau * op.derivative_adjoint_apply(x, y_next), thresh, spec.q)
         x_bar = 2.0 * x_next - x
         primal_shift = float(np.linalg.norm(x_next - x))
         dual_shift = float(np.linalg.norm(y_next - y))
@@ -212,6 +228,26 @@ def solve_linear_p1(
             converged = True
             break
     return _report(op, data, spec, cfg, x, iterations, converged, trace)
+
+
+class _ColumnScaledOperator(ForwardOperator):
+    """Linear operator K diag(scale): K with column j multiplied by scale_j."""
+
+    def __init__(self, op: ForwardOperator, scale: np.ndarray):
+        self._op = op
+        self._scale = scale
+        self._n = op.n
+        self._m = op.m
+        self._linear = True
+
+    def apply(self, u):
+        return self._op.apply(self._scale * u)
+
+    def derivative_apply(self, u, h):
+        return self._op.derivative_apply(u, self._scale * h)
+
+    def derivative_adjoint_apply(self, u, y):
+        return self._scale * self._op.derivative_adjoint_apply(u, y)
 
 
 class _LinearizedOperator(ForwardOperator):

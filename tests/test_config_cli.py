@@ -1,6 +1,7 @@
 """Config parsing round-trips and end-to-end CLI runs with exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,11 +130,32 @@ def test_cli_sweep_reference_q1_and_q2_slopes(tmp_path):
 
 
 def test_cli_sweep_too_few_levels_is_numeric_failure(tmp_path, capsys):
+    # five levels pass validation, but one iteration converges in none of
+    # them, so every level is left out of the fit
+    cfg = _write(tmp_path / "short.cfg", SWEEP_CFG + "\n[solver]\nmax_iter = 1\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "4 usable noise levels" in capsys.readouterr().err
+
+
+def test_cli_sweep_too_few_levels_is_config_error(tmp_path, capsys):
     cfg = _write(
         tmp_path / "short.cfg", SWEEP_CFG.replace("delta_count = 5", "delta_count = 3")
     )
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "4 usable noise levels" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "sweep.delta_count" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_square_kinds_reject_m(tmp_path, capsys):
+    exact = Path("configs/p1_exact.cfg").read_text()
+    for kind in ("diagonal", "convolution"):
+        text = exact.replace("kind = diagonal", f"kind = {kind}")
+        with pytest.raises(ConfigError, match="problem.m"):
+            parse_config(text.replace("n = 64", "n = 64\nm = 10"))
+        assert parse_config(text.replace("n = 64", "n = 64\nm = 64")).m == 64
+    cfg = _write(tmp_path / "m.cfg", exact.replace("n = 64", "n = 64\nm = 10"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "problem.m" in capsys.readouterr().err
 
 
 def test_cli_sweep_empty_grid_is_config_error(tmp_path, capsys):

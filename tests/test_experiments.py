@@ -118,6 +118,9 @@ def test_generate_problem_validation_errors():
         generate_problem("csv", 8, seed=0)
     with pytest.raises(ValueError):
         generate_problem("diagonal", 8, sparsity=2, seed=0, weights=np.ones(7))
+    for kind in ("diagonal", "convolution"):
+        with pytest.raises(ValueError, match="square"):
+            generate_problem(kind, 8, m=4, sparsity=2, seed=0, kernel_width=0.5)
 
 
 def test_generate_source_problem_dense_reference():

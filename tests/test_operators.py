@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsereg.operators import (
+    ForwardOperator,
     load_matrix_csv,
     make_convolution_linear,
     make_dense_linear,
@@ -159,6 +160,25 @@ def test_operator_norm_sq():
     got = operator_norm_sq(make_dense_linear(mat))
     want = float(np.linalg.eigvalsh(mat.T @ mat).max())
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_column_norms_sq_match_unit_vector_fallback():
+    # each kind's structural shortcut agrees with the base-class fallback,
+    # which applies the operator to every unit vector
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((5, 7))
+    matrix[:, 3] = 0.0
+    for op in (
+        make_dense_linear(matrix),
+        make_diagonal_linear(np.array([2.0, 0.5, 1e-3])),
+        make_convolution_linear(np.array([0.5, -1.0, 2.0]), 9),
+    ):
+        np.testing.assert_allclose(
+            op.column_norms_sq(), ForwardOperator.column_norms_sq(op), rtol=1e-12
+        )
+    np.testing.assert_allclose(
+        make_dense_linear(matrix).column_norms_sq(), (matrix**2).sum(axis=0), rtol=1e-12
+    )
 
 
 def test_operator_norm_sq_nonlinear_at_point():

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from sparsereg.experiments import generate_problem
 from sparsereg.operators import (
+    make_convolution_linear,
     make_dense_linear,
     make_diagonal_linear,
     make_toy_nonlinear,
+    operator_norm_sq,
 )
-from sparsereg.penalty import PenaltySpec, penalty_subgradient, penalty_value, subgradient_interval
+from sparsereg.penalty import (
+    PenaltySpec,
+    penalty_subgradient,
+    penalty_value,
+    prox,
+    subgradient_interval,
+)
 from sparsereg.solver import (
     SolverConfig,
     solve_linear_p1,
@@ -202,6 +211,105 @@ def test_p1_report_consistency():
     assert report.objective == pytest.approx(
         resid + 0.2 * report.penalty_value, rel=1e-10
     )
+
+
+def test_p1_exact_recovery_family_converges_fast():
+    # the criterion-05 instances: singular values 1 .. 1/64, which the
+    # per-column primal steps equalize; a scalar step needs ~1e5 iterations
+    for seed in range(3):
+        instance = generate_problem("diagonal", 64, sparsity=3, q=1.0, p=1, seed=seed)
+        alpha = 0.5 / instance.certificate.source_norm
+        report = solve_linear_p1(
+            instance.operator,
+            instance.clean_data,
+            instance.spec,
+            SolverConfig(p=1, alpha=alpha, max_iter=200000),
+        )
+        assert report.converged
+        assert report.iterations <= 100
+        assert np.linalg.norm(report.minimizer - instance.u_dagger) <= 1e-6 * (
+            1.0 + np.linalg.norm(instance.u_dagger)
+        )
+
+
+def test_p1_dense_badly_scaled_columns():
+    # column scales from 1 down to 1e-3: a scalar step runs into max_iter
+    # here, the per-column steps converge in a few hundred iterations
+    rng = np.random.default_rng(1)
+    matrix = rng.standard_normal((40, 64)) * np.logspace(0, -3, 64)
+    u_ref = np.zeros(64)
+    u_ref[rng.choice(64, 3, replace=False)] = rng.standard_normal(3)
+    op = make_dense_linear(matrix)
+    spec = PenaltySpec.uniform(1.0, 1.0, 64)
+    report = solve_linear_p1(
+        op, op.apply(u_ref), spec, SolverConfig(p=1, alpha=0.01, max_iter=200000)
+    )
+    assert report.converged
+    assert report.objective <= 0.01 * penalty_value(u_ref, spec) + 1e-8
+
+
+def _scalar_step_pdhg(op, data, spec, alpha, tol):
+    # reference: the same primal-dual iteration with sigma = tau = 0.99/||K||
+    step = 0.99 / np.sqrt(operator_norm_sq(op))
+    x = np.zeros(op.n)
+    x_bar = x.copy()
+    y = np.zeros(op.m)
+    for _ in range(200000):
+        y_next = y + step * (op.apply(x_bar) - data)
+        y_next /= max(1.0, float(np.linalg.norm(y_next)))
+        x_next = prox(x - step * op.derivative_adjoint_apply(x, y_next), step * alpha, spec)
+        x_bar = 2.0 * x_next - x
+        primal_shift = np.linalg.norm(x_next - x)
+        dual_shift = np.linalg.norm(y_next - y)
+        x, y = x_next, y_next
+        if primal_shift <= tol * (1.0 + np.linalg.norm(x)) and dual_shift <= tol * (
+            1.0 + np.linalg.norm(y)
+        ):
+            return x
+    raise AssertionError("reference iteration did not converge")
+
+
+def test_p1_convolution_matches_scalar_step_minimizer():
+    # equal column norms (here 5.25): preconditioning only rebalances sigma
+    # against tau, so the minimizer must not move
+    rng = np.random.default_rng(3)
+    op = make_convolution_linear(np.array([2.0, 1.0, 0.5]), 32)
+    u_ref = np.zeros(32)
+    u_ref[[3, 11, 20]] = [1.0, -0.7, 0.9]
+    data = op.apply(u_ref) + 0.05 * rng.standard_normal(32)
+    for q in (1.0, 1.5):
+        spec = PenaltySpec.uniform(q, 1.0, 32)
+        report = solve_linear_p1(op, data, spec, SolverConfig(p=1, alpha=0.1, tol=1e-13))
+        assert report.converged
+        want = _scalar_step_pdhg(op, data, spec, 0.1, 1e-13)
+        assert np.max(np.abs(report.minimizer - want)) <= 1e-8
+
+
+def test_p1_zero_column_goes_to_zero():
+    # a zero column decouples its coefficient from the data; it still gets
+    # a finite step, so the prox drives it to zero from a nonzero start
+    rng = np.random.default_rng(12)
+    matrix = rng.standard_normal((8, 5))
+    matrix[:, 2] = 0.0
+    op = make_dense_linear(matrix)
+    spec = PenaltySpec.uniform(1.0, 1.0, 5)
+    data = rng.standard_normal(8)
+    u0 = np.full(5, 3.0)
+    report = solve_linear_p1(op, data, spec, SolverConfig(p=1, alpha=0.2), u0=u0)
+    assert report.converged
+    assert np.all(np.isfinite(report.minimizer))
+    assert np.isfinite(report.objective)
+    assert report.minimizer[2] == 0.0
+
+    zero = solve_linear_p1(
+        make_dense_linear(np.zeros((3, 2))),
+        np.ones(3),
+        PenaltySpec.uniform(1.0, 1.0, 2),
+        SolverConfig(p=1, alpha=0.2),
+        u0=np.ones(2),
+    )
+    assert zero.converged
+    assert zero.minimizer.tolist() == [0.0, 0.0]
 
 
 def test_nonlinear_linear_degeneration():
