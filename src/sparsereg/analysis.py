@@ -138,16 +138,21 @@ class ValidationReport:
         }
 
 
-def derivative_matrix(op: ForwardOperator, at) -> np.ndarray:
-    """Dense m-by-n matrix of the operator derivative at a point."""
+def _derivative_columns(op: ForwardOperator, at, columns) -> np.ndarray:
+    """The given columns of the operator derivative, one apply per column."""
     at = np.asarray(at, dtype=np.float64)
-    cols = np.empty((op.m, op.n))
+    cols = np.empty((op.m, len(columns)))
     basis = np.zeros(op.n)
-    for j in range(op.n):
+    for k, j in enumerate(columns):
         basis[j] = 1.0
-        cols[:, j] = op.derivative_apply(at, basis)
+        cols[:, k] = op.derivative_apply(at, basis)
         basis[j] = 0.0
     return cols
+
+
+def derivative_matrix(op: ForwardOperator, at) -> np.ndarray:
+    """Dense m-by-n matrix of the operator derivative at a point."""
+    return _derivative_columns(op, at, range(op.n))
 
 
 def _support(u) -> np.ndarray:
@@ -162,9 +167,12 @@ def check_source_condition(
     For exponent q > 1 the subgradient is unique and the dual vector solves
     a plain least-squares problem.  For q = 1 the subgradient is fixed on
     the support and free in [-w, w] elsewhere; the free part is completed
-    with least norm among representable choices, which maximizes the margin
-    below the weights that the q = 1 rate construction needs.  Returns None
-    when no valid certificate exists.
+    by the representable choice of least l2 norm off the support.  That
+    only aims at the margin below the weights that the q = 1 rate
+    construction needs: it does not in general minimize the largest
+    off-support entry, so a certificate with a margin may exist although
+    this one exceeds the weights.  Returns None when the subgradient is not
+    in the adjoint range or the completion exceeds the weights.
     """
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     adjoint = derivative_matrix(op, u_dagger).T
@@ -219,8 +227,9 @@ def check_source_condition(
 def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> InjectivityReport:
     """Smallest singular value of the derivative columns on the support.
 
-    An explicit `support` overrides detection from u_dagger.  An empty
-    support reports an infinite constant: there is nothing to invert.
+    Only the support columns are assembled, one derivative apply each.  An
+    explicit `support` overrides detection from u_dagger.  An empty support
+    reports an infinite constant: there is nothing to invert.
     """
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     if support is None:
@@ -231,7 +240,7 @@ def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> In
         return InjectivityReport(
             support=support, smallest_singular_value=np.inf, injectivity_constant=np.inf
         )
-    cols = derivative_matrix(op, u_dagger)[:, support]
+    cols = _derivative_columns(op, u_dagger, support)
     singular = np.linalg.svd(cols, compute_uv=False)
     sigma = float(singular.min())
     # numerical-rank cutoff, same convention as matrix_rank
@@ -243,6 +252,16 @@ def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> In
         injectivity_constant=constant,
         rank_cutoff=cutoff,
     )
+
+
+def _inverse_bound(op, u_dagger, columns, name: str) -> float:
+    """Injectivity constant of the given derivative columns; 0 for none."""
+    inj = check_support_injectivity(op, u_dagger, support=columns)
+    if inj.support.size == 0:
+        return 0.0  # nothing to invert
+    if not inj.injective or not np.isfinite(inj.injectivity_constant):
+        raise ValueError(f"{name} columns of the derivative are rank-deficient")
+    return inj.injectivity_constant
 
 
 def _constants_quadratic(op, u_dagger, spec, cert) -> RateConstants:
@@ -264,13 +283,7 @@ def _constants_sparse_q(op, u_dagger, spec, cert, residual_radius) -> RateConsta
     # sparse construction for q > 1: split the error into support and
     # off-support parts; the support part is controlled through the
     # injectivity constant, the off-support part through the penalty gap
-    inj = check_support_injectivity(op, u_dagger)
-    if inj.support.size == 0:
-        c = 0.0  # nothing to invert on an empty support
-    elif not inj.injective or not np.isfinite(inj.injectivity_constant):
-        raise ValueError("support columns of the derivative are rank-deficient")
-    else:
-        c = inj.injectivity_constant
+    c = _inverse_bound(op, u_dagger, _support(u_dagger), "support")
     op_norm = np.sqrt(operator_norm_sq(op, u_dagger))
     norm_coeff = spec.w_min / (2.0 * (1.0 + 2.0 * c**spec.q * op_norm**spec.q))
     residual_coeff = cert.source_norm + 4.0 * c**spec.q * residual_radius ** (spec.q - 1.0) * norm_coeff
@@ -290,13 +303,7 @@ def _constants_sparse_1(op, u_dagger, spec, cert) -> RateConstants:
     # the growth coefficient
     xi = cert.subgradient
     big = np.flatnonzero(np.abs(xi) >= spec.w_min * (1.0 - 1e-12))
-    inj = check_support_injectivity(op, u_dagger, support=big)
-    if inj.support.size == 0:
-        c = 0.0  # nothing to invert when no entry reaches the weight bound
-    elif not inj.injective or not np.isfinite(inj.injectivity_constant):
-        raise ValueError("certificate columns of the derivative are rank-deficient")
-    else:
-        c = inj.injectivity_constant
+    c = _inverse_bound(op, u_dagger, big, "certificate")
     off = np.delete(np.arange(op.n), big)
     margin_top = float(np.max(np.abs(xi[off]))) if off.size else 0.0
     if margin_top >= spec.w_min:
@@ -368,6 +375,7 @@ def estimate_rate_constants(
     op: ForwardOperator,
     u_dagger,
     spec: PenaltySpec,
+    cert: Optional[SourceCertificate],
     exponent: float,
     n_samples: int = 1000,
     radius: float = 0.1,
@@ -383,13 +391,14 @@ def estimate_rate_constants(
     construction is preferred if the reference is sparse.  The returned
     coefficients are validated on n_samples perturbations unless
     validate=False; violations raise with the offending samples listed.
+    cert is the source certificate of (op, u_dagger, spec) from
+    check_source_condition, or None when the source condition fails.
     """
     if not op.is_linear:
         raise ValueError("rate-constant constructions require a linear operator")
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
-    cert = check_source_condition(op, u_dagger, spec)
     if cert is None:
         raise ValueError("source condition fails: subgradient not in the adjoint range")
     sparse = _support(u_dagger).size < op.n
@@ -464,6 +473,7 @@ def check_sparse_rate_conditions(
     op: ForwardOperator,
     u_dagger,
     spec: PenaltySpec,
+    cert: Optional[SourceCertificate],
     n_samples: int = 1000,
     radius: float = 0.1,
     seed: int = 0,
@@ -475,7 +485,8 @@ def check_sparse_rate_conditions(
     gap split in half).  Nonlinear operators get a sampled fit of the
     linearization-error inequality: the data-shift coefficient is the
     smallest value covering all samples with the linearization coefficient
-    pinned at one.
+    pinned at one.  cert is the source certificate of (op, u_dagger, spec)
+    from check_source_condition, or None when the source condition fails.
     """
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     support = _support(u_dagger)
@@ -485,7 +496,6 @@ def check_sparse_rate_conditions(
         "sparsity": int(support.size),
         "sparse": bool(support.size < op.n),
     }
-    cert = check_source_condition(op, u_dagger, spec)
     if cert is None:
         report["source_condition"] = {"passed": False}
     else:
@@ -512,6 +522,7 @@ def check_sparse_rate_conditions(
     if not op.is_linear:
         rng = np.random.default_rng(seed)
         ref_data = op.apply(u_dagger)
+        ref_penalty = penalty_value(u_dagger, spec)
         lin_coeff = 1.0
         needed = 0.0
         finite = True
@@ -519,7 +530,7 @@ def check_sparse_rate_conditions(
             direction = rng.standard_normal(op.n)
             direction /= np.linalg.norm(direction)
             u = u_dagger + radius * direction
-            gap = penalty_value(u, spec) - penalty_value(u_dagger, spec)
+            gap = penalty_value(u, spec) - ref_penalty
             shifted = op.apply(u) - ref_data
             lin_err = float(
                 np.linalg.norm(shifted - op.derivative_apply(u_dagger, u - u_dagger))

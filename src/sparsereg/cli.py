@@ -1,6 +1,6 @@
 """Command-line front end: single solves, noise sweeps, condition checks.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence or insufficient data for the rate fit, 3 condition-check
 failure.  All artifacts are written atomically (temp file then rename).
 """
@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import check_sparse_rate_conditions, estimate_rate_constants
+from .analysis import check_source_condition, check_sparse_rate_conditions, estimate_rate_constants
 from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import (
     add_noise,
@@ -42,18 +42,6 @@ def _load(args) -> ExperimentConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPARSEREG_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SPARSEREG_THREADS: cannot parse {env!r}: {exc}") from exc
-    return 1
 
 
 def _build_instance(cfg: ExperimentConfig, validate: bool):
@@ -154,17 +142,18 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    threads = _threads(args)
     try:
         instance = _build_instance(cfg, validate=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    # validate=True attached the certificate that every stage below uses
+    op, u_dagger, spec, cert = (
+        instance.operator, instance.u_dagger, instance.spec, instance.certificate
+    )
     constants = None
     try:
-        constants = estimate_rate_constants(
-            instance.operator, instance.u_dagger, instance.spec, _rate_exponent(cfg)
-        )
+        constants = estimate_rate_constants(op, u_dagger, spec, cert, _rate_exponent(cfg))
     except ValueError:
         # sweep is still meaningful without validated constants; the rate
         # sidecar just carries null bounds
@@ -192,15 +181,12 @@ def cmd_sweep(args) -> int:
             constants=constants,
             solver_tol=cfg.solver_tol,
             solver_max_iter=cfg.solver_max_iter,
-            threads=threads,
         )
     except ValueError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    conditions = check_sparse_rate_conditions(
-        instance.operator, instance.u_dagger, instance.spec
-    )
+    conditions = check_sparse_rate_conditions(op, u_dagger, spec, cert)
     write_sweep_csv(result, _out_path(cfg, "sweep.csv"))
     write_rate_json(result, _out_path(cfg, "rate.json"), conditions=conditions)
 
@@ -232,15 +218,15 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    report = check_sparse_rate_conditions(
-        instance.operator, instance.u_dagger, instance.spec
-    )
+    op, u_dagger, spec = instance.operator, instance.u_dagger, instance.spec
+    # validate=False keeps a failing instance to report on, so the one
+    # certificate computation is here
+    cert = check_source_condition(op, u_dagger, spec)
+    report = check_sparse_rate_conditions(op, u_dagger, spec, cert)
     constants_entry: dict
-    if instance.operator.is_linear:
+    if op.is_linear:
         try:
-            constants = estimate_rate_constants(
-                instance.operator, instance.u_dagger, instance.spec, _rate_exponent(cfg)
-            )
+            constants = estimate_rate_constants(op, u_dagger, spec, cert, _rate_exponent(cfg))
             constants_entry = constants.to_dict()
             constants_entry["passed"] = True
         except ValueError as exc:
@@ -274,18 +260,21 @@ def cmd_check(args) -> int:
     return EXIT_OK if passed else EXIT_CONDITIONS
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Parser whose usage errors exit 1, not argparse's 2 (numerical failure)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--out", help="output directory (overrides the config)")
     common.add_argument("--seed", type=int, help="seed override")
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="sweep worker threads (default: SPARSEREG_THREADS or 1)",
-    )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sparsereg",
         description=(
             "Weighted lq-penalized regularization: solve single problems, run "
@@ -312,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,8 +8,7 @@ theory predicts.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -362,17 +361,16 @@ def run_sweep(
     constants: Optional[RateConstants] = None,
     solver_tol: float = 1e-10,
     solver_max_iter: int = 50000,
-    threads: int = 1,
 ) -> SweepResult:
     """Noise sweep with the regularization weight tied to the noise level.
 
-    Runs trials_per_delta seeded noise draws per level; each cell derives
-    its own seed from (seed, level index, trial index) so serial and
-    threaded runs produce identical rows.  The rate is fitted on per-level
-    mean errors, skipping levels where the solver stopping threshold is
-    within 1% of the measured error (those measurements would reflect the
-    optimizer floor, not the regularization error).  Requires at least
-    four usable levels.
+    Runs trials_per_delta seeded noise draws per level, one cell after
+    another; each cell derives its own seed from (seed, level index, trial
+    index), so its row depends on nothing else.  The rate is fitted on
+    per-level mean errors, skipping levels where the solver stopping
+    threshold is within 1% of the measured error (those measurements would
+    reflect the optimizer floor, not the regularization error).  Requires
+    at least four usable levels.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 2 or any(d <= 0.0 for d in deltas):
@@ -413,12 +411,7 @@ def run_sweep(
         )
         return row, floor
 
-    cells = [(i, t) for i in range(len(deltas)) for t in range(trials_per_delta)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda c: run_cell(*c), cells))
-    else:
-        outcomes = [run_cell(i, t) for i, t in cells]
+    outcomes = [run_cell(i, t) for i in range(len(deltas)) for t in range(trials_per_delta)]
 
     rows = [row for row, _ in outcomes]
     fit_deltas = []

@@ -65,7 +65,12 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Minimizer with its objective decomposition and iteration diagnostics."""
+    """Minimizer with its objective decomposition and iteration diagnostics.
+
+    objective_trace holds the objective after every p = 2 iteration and
+    every accepted nonlinear outer step, but only the initial and final
+    values for p = 1, whose iteration does not use the objective.
+    """
 
     minimizer: np.ndarray
     objective: float
@@ -221,13 +226,14 @@ def solve_linear_p1(
         primal_shift = float(np.linalg.norm(x_next - x))
         dual_shift = float(np.linalg.norm(y_next - y))
         x, y = x_next, y_next
-        trace.append(objective(x))
         if primal_shift <= cfg.tol * (1.0 + float(np.linalg.norm(x))) and dual_shift <= cfg.tol * (
             1.0 + float(np.linalg.norm(y))
         ):
             converged = True
             break
-    return _report(op, data, spec, cfg, x, iterations, converged, trace)
+    report = _report(op, data, spec, cfg, x, iterations, converged, trace)
+    report.objective_trace.append(report.objective)
+    return report
 
 
 class _ColumnScaledOperator(ForwardOperator):

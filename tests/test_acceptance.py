@@ -51,7 +51,7 @@ def _run_rate_pipeline(q, exponent, positions, seed):
         "diagonal", 64, m=64, sparsity=3, q=q, p=2, seed=seed, positions=positions
     )
     constants = estimate_rate_constants(
-        instance.operator, instance.u_dagger, instance.spec, exponent
+        instance.operator, instance.u_dagger, instance.spec, instance.certificate, exponent
     )
     result = run_sweep(
         instance,
@@ -60,7 +60,6 @@ def _run_rate_pipeline(q, exponent, positions, seed):
         trials_per_delta=TRIALS,
         seed=SWEEP_SEED,
         constants=constants,
-        threads=1,
     )
     return instance, constants, result
 
@@ -103,7 +102,7 @@ def test_criterion_04_source_condition_sqrt_rate():
     instance = generate_source_problem(n=64, q=1.5, p=2, seed=0)
     assert int(np.count_nonzero(instance.u_dagger)) == 64
     constants = estimate_rate_constants(
-        instance.operator, instance.u_dagger, instance.spec, 2.0
+        instance.operator, instance.u_dagger, instance.spec, instance.certificate, 2.0
     )
     result = run_sweep(
         instance,
@@ -112,7 +111,6 @@ def test_criterion_04_source_condition_sqrt_rate():
         trials_per_delta=TRIALS,
         seed=SWEEP_SEED,
         constants=constants,
-        threads=1,
     )
     slope = result.rate.slope
     _report(4, slope >= 0.40, f"non-sparse reference slope {slope:.4f} >= 0.40")

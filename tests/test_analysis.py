@@ -13,8 +13,34 @@ from sparsereg.analysis import (
     theoretical_bound,
     validate_rate_inequality,
 )
-from sparsereg.operators import make_dense_linear, make_diagonal_linear, make_toy_nonlinear
+from sparsereg.operators import (
+    ForwardOperator,
+    make_dense_linear,
+    make_diagonal_linear,
+    make_toy_nonlinear,
+)
 from sparsereg.penalty import PenaltySpec
+
+
+class _CountingOperator(ForwardOperator):
+    """Wraps an operator and counts its derivative applies."""
+
+    def __init__(self, op):
+        self._op = op
+        self._n = op.n
+        self._m = op.m
+        self._linear = op.is_linear
+        self.derivative_applies = 0
+
+    def apply(self, u):
+        return self._op.apply(u)
+
+    def derivative_apply(self, u, h):
+        self.derivative_applies += 1
+        return self._op.derivative_apply(u, h)
+
+    def derivative_adjoint_apply(self, u, y):
+        return self._op.derivative_adjoint_apply(u, y)
 
 
 def test_source_condition_identity_q2():
@@ -107,6 +133,22 @@ def test_injectivity_rank_deficient_and_empty():
     assert empty.smallest_singular_value == np.inf
 
 
+def test_injectivity_applies_only_support_columns():
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((24, 40))
+    u = np.zeros(40)
+    u[[3, 17, 29]] = [1.0, -0.5, 2.0]
+    op = _CountingOperator(make_dense_linear(mat))
+    rep = check_support_injectivity(op, u)
+    assert op.derivative_applies == 3
+    want = float(np.linalg.svd(mat[:, [3, 17, 29]], compute_uv=False).min())
+    assert rep.smallest_singular_value == pytest.approx(want, rel=1e-12)
+
+    op.derivative_applies = 0
+    check_support_injectivity(op, u, support=[0, 5])
+    assert op.derivative_applies == 2
+
+
 def test_derivative_matrix_assembly():
     rng = np.random.default_rng(2)
     mat = rng.standard_normal((5, 4))
@@ -123,7 +165,8 @@ def test_derivative_matrix_assembly():
 def test_constants_identity_q2_zero_reference():
     op = make_dense_linear(np.eye(8))
     spec = PenaltySpec.uniform(2.0, 1.0, 8)
-    constants = estimate_rate_constants(op, np.zeros(8), spec, 2.0)
+    u = np.zeros(8)
+    constants = estimate_rate_constants(op, u, spec, check_source_condition(op, u, spec), 2.0)
     assert constants.validated
     assert constants.norm_coeff > 0.0
     # R(u) = ||u||^2 makes the inequality hold with coefficient 1; the
@@ -138,7 +181,8 @@ def test_constants_diagonal_sparse_instances():
     u[[0, 3, 8]] = [1.0, -0.7, 1.2]
     for q, exponent in ((1.0, 1.0), (1.5, 1.5), (1.5, 2.0), (2.0, 2.0)):
         spec = PenaltySpec.uniform(q, 1.0, 16)
-        constants = estimate_rate_constants(op, u, spec, exponent)
+        cert = check_source_condition(op, u, spec)
+        constants = estimate_rate_constants(op, u, spec, cert, exponent)
         assert constants.validated
         assert constants.exponent == exponent
         assert constants.norm_coeff > 0.0
@@ -151,7 +195,7 @@ def test_constants_validation_catches_inflation():
     op = make_dense_linear(np.eye(8))
     spec = PenaltySpec.uniform(2.0, 1.0, 8)
     u = np.zeros(8)
-    constants = estimate_rate_constants(op, u, spec, 2.0)
+    constants = estimate_rate_constants(op, u, spec, check_source_condition(op, u, spec), 2.0)
     inflated = RateConstants(
         norm_coeff=10.0 * constants.norm_coeff,
         residual_coeff=constants.residual_coeff,
@@ -169,14 +213,20 @@ def test_constants_validation_catches_inflation():
 def test_constants_exponent_dispatch_errors():
     op = make_dense_linear(np.eye(4))
     u = np.array([1.0, 0.0, 0.0, 0.0])
+    q15 = PenaltySpec.uniform(1.5, 1.0, 4)
+    q1 = PenaltySpec.uniform(1.0, 1.0, 4)
+    cert15 = check_source_condition(op, u, q15)
+    cert1 = check_source_condition(op, u, q1)
     with pytest.raises(ValueError):
-        estimate_rate_constants(op, u, PenaltySpec.uniform(1.5, 1.0, 4), 1.0)
+        estimate_rate_constants(op, u, q15, cert15, 1.0)
     with pytest.raises(ValueError):
-        estimate_rate_constants(op, u, PenaltySpec.uniform(1.0, 1.0, 4), 1.5)
+        estimate_rate_constants(op, u, q1, cert1, 1.5)
     with pytest.raises(ValueError):
-        estimate_rate_constants(op, u, PenaltySpec.uniform(1.0, 1.0, 4), 2.0)
+        estimate_rate_constants(op, u, q1, cert1, 2.0)
     with pytest.raises(ValueError):
-        estimate_rate_constants(op, u, PenaltySpec.uniform(1.5, 1.0, 4), 1.5, n_samples=50)
+        estimate_rate_constants(op, u, q15, cert15, 1.5, n_samples=50)
+    with pytest.raises(ValueError, match="source condition fails"):
+        estimate_rate_constants(op, u, q15, None, 1.5)
 
 
 def test_constants_rank_deficient_support_rejected():
@@ -186,8 +236,9 @@ def test_constants_rank_deficient_support_rejected():
     mat[:, 2] = [0.0, 1.0, 0.0, 0.0]
     op = make_dense_linear(mat)
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    with pytest.raises(ValueError):
-        estimate_rate_constants(op, np.array([1.0, 1.0, 0.0]), spec, 1.5)
+    u = np.array([1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="rank-deficient"):
+        estimate_rate_constants(op, u, spec, check_source_condition(op, u, spec), 1.5)
 
 
 def test_theoretical_bound_goldens():
@@ -237,10 +288,24 @@ def test_sparse_conditions_identity_q1():
     spec = PenaltySpec.uniform(1.0, 1.0, 6)
     u = np.zeros(6)
     u[[0, 2]] = [1.0, -2.0]
-    report = check_sparse_rate_conditions(op, u, spec)
+    report = check_sparse_rate_conditions(op, u, spec, check_source_condition(op, u, spec))
     assert report["passed"]
     assert report["off_support_margin"]["gap_split"] == 0.5
     assert report["off_support_margin"]["max_off_support"] == pytest.approx(0.0)
+
+
+def test_sparse_conditions_without_certificate():
+    # None stands for a failed source condition: the report records the
+    # failure and still runs the other checks
+    op = make_dense_linear(np.eye(6))
+    spec = PenaltySpec.uniform(1.0, 1.0, 6)
+    u = np.zeros(6)
+    u[[0, 2]] = [1.0, -2.0]
+    report = check_sparse_rate_conditions(op, u, spec, None)
+    assert report["source_condition"] == {"passed": False}
+    assert report["support_injectivity"]["passed"]
+    assert "off_support_margin" not in report
+    assert not report["passed"]
 
 
 def test_sparse_conditions_rank_deficient_support():
@@ -250,7 +315,8 @@ def test_sparse_conditions_rank_deficient_support():
     mat[:, 2] = [0.0, 1.0, 1.0, 0.0]
     op = make_dense_linear(mat)
     spec = PenaltySpec.uniform(1.0, 1.0, 3)
-    report = check_sparse_rate_conditions(op, np.array([1.0, 1.0, 0.0]), spec)
+    u = np.array([1.0, 1.0, 0.0])
+    report = check_sparse_rate_conditions(op, u, spec, check_source_condition(op, u, spec))
     assert not report["support_injectivity"]["passed"]
     assert not report["passed"]
 
@@ -263,7 +329,7 @@ def test_sparse_conditions_nonlinear_sampled():
     spec = PenaltySpec.uniform(1.5, 1.0, 16)
     u = np.zeros(16)
     u[[2, 7, 11]] = [1.0, -0.8, 0.6]
-    report = check_sparse_rate_conditions(op, u, spec)
+    report = check_sparse_rate_conditions(op, u, spec, check_source_condition(op, u, spec))
     entry = report["linearization_inequality"]
     assert entry["passed"]
     assert np.isfinite(entry["data_shift_coeff"])

@@ -1,11 +1,13 @@
 """Config parsing round-trips and end-to-end CLI runs with exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sparsereg import analysis
 from sparsereg.cli import main
 from sparsereg.config import (
     ConfigError,
@@ -99,7 +101,7 @@ def test_cli_sweep_artifacts_and_determinism(tmp_path):
     cfg = _write(tmp_path / "sweep.cfg", SWEEP_CFG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["sweep", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out_b), "--threads", "2"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out_b)]) == 0
     names = sorted(p.name for p in out_a.iterdir())
     assert names == ["rate.json", "rate.svg", "sweep.csv"]
     for name in names:
@@ -177,11 +179,55 @@ def test_cli_malformed_config_names_field(tmp_path, capsys):
     assert "problem.q" in capsys.readouterr().err
 
 
-def test_cli_threads_env_parse_error(tmp_path, monkeypatch, capsys):
+def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
+    # exit 2 means numerical failure, so a bad command line must exit 1
+    assert main(["sweep"]) == 1
+    assert "required: --config" in capsys.readouterr().err
     cfg = _write(tmp_path / "sweep.cfg", SWEEP_CFG)
-    monkeypatch.setenv("SPARSEREG_THREADS", "lots")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "SPARSEREG_THREADS" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg, "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def _count_certificates(monkeypatch) -> list:
+    """Count check_source_condition calls through every module binding it."""
+    original = analysis.check_source_condition
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sparsereg" and (
+            getattr(module, "check_source_condition", None) is original
+        ):
+            monkeypatch.setattr(module, "check_source_condition", counting)
+    return calls
+
+
+def test_cli_check_computes_one_certificate(tmp_path, monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["check", "--config", "configs/q1_diagonal.cfg", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    payload = json.loads((out / "check.json").read_text())
+    assert payload["checks"]["source_condition"]["passed"] is True
+    assert payload["constants"]["passed"] is True
+
+
+def test_cli_sweep_computes_one_certificate(tmp_path, monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    cfg = _write(tmp_path / "sweep.cfg", SWEEP_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    payload = json.loads((out / "rate.json").read_text())
+    assert payload["conditions"]["source_condition"]["passed"] is True
+    assert payload["constants"]["validated"] is True
 
 
 def test_cli_solve_exact_recovery(tmp_path):

@@ -211,6 +211,12 @@ def test_p1_report_consistency():
     assert report.objective == pytest.approx(
         resid + 0.2 * report.penalty_value, rel=1e-10
     )
+    # the p = 1 trace keeps the start and the end, not every iteration
+    assert report.iterations > 1
+    assert report.objective_trace == [
+        float(np.linalg.norm(data)),
+        report.objective,
+    ]
 
 
 def test_p1_exact_recovery_family_converges_fast():
