@@ -61,14 +61,15 @@ class ForwardOperator(ABC):
     def derivative_adjoint_apply(self, u, y) -> np.ndarray:
         """Evaluate the adjoint of the derivative of F at u on y."""
 
-    def column_norms_sq(self) -> np.ndarray:
-        """Squared Euclidean norm of each column of the derivative at 0.
+    def column_norms_sq(self, at=None) -> np.ndarray:
+        """Squared Euclidean norm of each column of the derivative at `at`.
 
-        For a linear operator these are the columns of its matrix.  This
-        fallback applies the derivative to every unit vector, n applies in
-        all; kinds that hold their structure override it.
+        `at` defaults to the zero vector; linear kinds ignore it, and their
+        columns are those of their matrix.  This fallback applies the
+        derivative to every unit vector, n applies in all; kinds that hold
+        their structure override it.
         """
-        at = np.zeros(self.n)
+        at = np.zeros(self.n) if at is None else _as_vector(at, self.n, "linearization point")
         unit = np.zeros(self.n)
         out = np.empty(self.n)
         for j in range(self.n):
@@ -99,7 +100,7 @@ class _DenseLinear(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return self.matrix.T @ _as_vector(y, self._m, "data vector")
 
-    def column_norms_sq(self):
+    def column_norms_sq(self, at=None):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
 
 
@@ -123,7 +124,7 @@ class _DiagonalLinear(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return self.singular_values * _as_vector(y, self._m, "data vector")
 
-    def column_norms_sq(self):
+    def column_norms_sq(self, at=None):
         return self.singular_values * self.singular_values
 
 
@@ -156,7 +157,7 @@ class _CircularConvolution(ForwardOperator):
         y = _as_vector(y, self._m, "data vector")
         return np.fft.irfft(np.fft.rfft(y) * np.conj(self._khat), self._n)
 
-    def column_norms_sq(self):
+    def column_norms_sq(self, at=None):
         # every column is a circular shift of the zero-padded kernel
         return np.full(self._n, float(self.kernel @ self.kernel))
 
@@ -192,6 +193,12 @@ class _ToyNonlinear(ForwardOperator):
         u = _as_vector(u, self._n, "linearization point")
         y = _as_vector(y, self._m, "data vector")
         return self.a_matrix.T @ y + 2.0 * self.eps * u * (self.b_matrix.T @ y)
+
+    def column_norms_sq(self, at=None):
+        # column j of the derivative at u is a_j + 2*eps*u_j*b_j
+        at = np.zeros(self._n) if at is None else _as_vector(at, self._n, "linearization point")
+        columns = self.a_matrix + (2.0 * self.eps * at) * self.b_matrix
+        return np.einsum("ij,ij->j", columns, columns)
 
 
 def make_dense_linear(matrix) -> ForwardOperator:
@@ -233,25 +240,37 @@ def operator_norm_sq(op: ForwardOperator, at=None) -> float:
     relative Rayleigh-quotient change below 1e-10; works for matrix-free
     operators.  `at` defaults to the zero vector.
     """
+    return _power_iteration(op, at)[0]
+
+
+def _power_iteration(op: ForwardOperator, at=None, start=None):
+    """operator_norm_sq together with the last normalized iterate.
+
+    `start` replaces the seeded random start vector; a nearby top
+    eigenvector, such as the one returned for a neighbouring operator,
+    meets the stopping rule in fewer iterations.
+    """
     if at is None:
         at = np.zeros(op.n)
     at = _as_vector(at, op.n, "linearization point")
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(op.n)
-    x /= np.linalg.norm(x)
+    if start is None:
+        x = np.random.default_rng(0).standard_normal(op.n)
+    else:
+        x = _as_vector(start, op.n, "start vector")
+    x = x / np.linalg.norm(x)
     lam = 0.0
     for _ in range(200):
         z = op.derivative_adjoint_apply(at, op.derivative_apply(at, x))
         lam_new = float(x @ z)
         nz = np.linalg.norm(z)
         if nz == 0.0:
-            return 0.0
+            return 0.0, x
         converged = abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1.0)
         lam = lam_new
         if converged:
             break
         x = z / nz
-    return lam
+    return lam, x
 
 
 def load_matrix_csv(path) -> np.ndarray:

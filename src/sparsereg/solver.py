@@ -1,10 +1,11 @@
 """First-order solvers for the penalized data-fit functional.
 
 Minimizes ||F(u) - v||^p + alpha * R(u) for p in {1, 2}, where R is the
-weighted lq penalty.  The p = 2 linear path is an accelerated proximal
-gradient method kept monotone by restarts; the p = 1 linear path is a
-primal-dual iteration handling the nonsmooth data norm; the nonlinear path
-wraps the p = 2 solver in a damped Gauss-Newton outer loop.
+weighted lq penalty.  The p = 2 linear path is an accelerated
+forward-backward method kept monotone by restarts; the p = 1 linear path
+is a primal-dual iteration handling the nonsmooth data norm.  Both scale
+their primal steps per column by the same diagonal (Jacobi) metric.  The
+nonlinear path wraps the p = 2 solver in a damped Gauss-Newton outer loop.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import ForwardOperator, operator_norm_sq
-from .penalty import PenaltySpec, _prox_power, penalty_value, prox
+from .operators import ForwardOperator, _power_iteration
+from .penalty import PenaltySpec, _prox_power, penalty_value
 
 __all__ = [
     "SolverConfig",
@@ -31,9 +32,11 @@ class SolverConfig:
     tol is a relative iterate-change threshold.  inner_max_iter and
     inner_tol control the linearized subproblem solves of the nonlinear
     path and default to the outer values.  step_safety is a safety factor
-    s on the operator norm that power iteration estimates, from slightly
-    below, for both linear solvers: the p = 2 step is s/L, and the p = 1
-    primal-dual steps satisfy sigma*||K diag(tau)^(1/2)||^2 = s^2.
+    s on the Jacobi-scaled operator norm L = ||K T^(1/2)||^2, T = diag(t),
+    t_j = 1/||K[:, j]||^2, that power iteration estimates from slightly
+    below, for both linear solvers: coordinate j of the p = 2 step is
+    s*t_j/L, and the p = 1 primal-dual steps satisfy
+    sigma*||K diag(tau)^(1/2)||^2 = s^2.
     """
 
     p: int
@@ -106,6 +109,27 @@ def _check_linear(op: ForwardOperator, data, p_expected: int, cfg: SolverConfig)
     return data
 
 
+def _jacobi_metric(op: ForwardOperator, start=None):
+    """Per-column scales t_j = 1/||K[:, j]||^2 and L = ||K T^(1/2)||^2.
+
+    K is the linear operator `op` and T = diag(t), so L T^-1 majorizes
+    K^T K.  A zero column leaves its
+    coordinate out of the data term; it gets the largest scale of the
+    others, so its step stays finite and the prox alone drives it towards
+    zero.  `start` warm-starts the power iteration for L.  Returns
+    (t, L, top eigenvector of T^(1/2) K^T K T^(1/2)), or None when every
+    column is zero.
+    """
+    with np.errstate(divide="ignore"):
+        t = 1.0 / op.column_norms_sq()
+    coupled = np.isfinite(t)
+    if not coupled.any():
+        return None
+    t[~coupled] = t[coupled].max()
+    lip, top = _power_iteration(_ColumnScaledOperator(op, np.sqrt(t)), start=start)
+    return t, lip, top
+
+
 def solve_linear_p2(
     op: ForwardOperator,
     data,
@@ -115,16 +139,29 @@ def solve_linear_p2(
 ) -> SolveReport:
     """Minimize ||Fu - v||^2 + alpha*R(u) for linear F.
 
-    Accelerated proximal gradient iteration on the equivalent half-scaled
-    objective, so the prox threshold per step is step*alpha/2.  A monotone
-    restart discards the accelerated candidate whenever it would increase
-    the objective, falling back to a plain proximal step, which keeps the
-    recorded objective trace nonincreasing.
+    Accelerated forward-backward iteration on the equivalent half-scaled
+    objective in the diagonal (Jacobi) metric D = (L/s) T^-1 (variable
+    metric, Combettes & Vu 2014), with t_j = 1/||K[:, j]||^2,
+    L = ||K T^(1/2)||^2 and s = step_safety.  Since L bounds the scaled
+    operator, D majorizes K^T K for every linear kind; for K = diag(k) it
+    is K^T K/s, so the iteration is near-exact in one step.  Coordinate j
+    steps by s*t_j/L, and its prox threshold is that step times
+    alpha*w_j/2.  A monotone restart discards the accelerated candidate
+    whenever it would increase the objective, falling back to a plain
+    step, which keeps the recorded objective trace nonincreasing.
     """
     data = _check_linear(op, data, 2, cfg)
     if spec.n != op.n:
         raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
-    lip = operator_norm_sq(op)
+    return _forward_backward_p2(op, data, spec, cfg, u0)[0]
+
+
+def _forward_backward_p2(op, data, spec, cfg, u0, start=None):
+    """solve_linear_p2 on checked inputs, with the metric's warm start.
+
+    Returns the report and the top eigenvector of the metric's power
+    iteration, which warm-starts it for a nearby operator.
+    """
     x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
 
     def objective(u):
@@ -133,16 +170,18 @@ def solve_linear_p2(
 
     obj = objective(x)
     trace = [obj]
-    if lip <= 0.0:
+    metric = _jacobi_metric(op, start)
+    if metric is None:
         # zero operator: the penalty alone drives every coefficient to zero
         zero = np.zeros(op.n)
-        return _report(op, data, spec, cfg, zero, 0, True, trace + [objective(zero)])
-    step = cfg.step_safety / lip
-    tau = step * cfg.alpha / 2.0
+        return _report(op, data, spec, cfg, zero, 0, True, trace + [objective(zero)]), start
+    t, lip, top = metric
+    step = (cfg.step_safety / lip) * t
+    thresh = step * (cfg.alpha / 2.0) * spec.weights
 
     def forward_backward(u):
         grad = op.derivative_adjoint_apply(u, op.apply(u) - data)
-        return prox(u - step * grad, tau, spec)
+        return _prox_power(u - step * grad, thresh, spec.q)
 
     y = x.copy()
     momentum = 1.0
@@ -166,7 +205,7 @@ def solve_linear_p2(
         if shift <= cfg.tol * (1.0 + float(np.linalg.norm(x))):
             converged = True
             break
-    return _report(op, data, spec, cfg, x, iterations, converged, trace)
+    return _report(op, data, spec, cfg, x, iterations, converged, trace), top
 
 
 def solve_linear_p1(
@@ -200,15 +239,12 @@ def solve_linear_p1(
 
     x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     trace = [objective(x)]
-    with np.errstate(divide="ignore"):
-        t = 1.0 / op.column_norms_sq()
-    coupled = np.isfinite(t)
-    if not coupled.any():
+    metric = _jacobi_metric(op)
+    if metric is None:
         # zero operator: the penalty alone drives every coefficient to zero
         zero = np.zeros(op.n)
         return _report(op, data, spec, cfg, zero, 0, True, trace + [objective(zero)])
-    t[~coupled] = t[coupled].max()
-    lip = operator_norm_sq(_ColumnScaledOperator(op, np.sqrt(t)))
+    t, lip, _ = metric
     sigma = cfg.step_safety / np.sqrt(lip)
     tau = sigma * t
     thresh = tau * cfg.alpha * spec.weights
@@ -275,6 +311,9 @@ class _LinearizedOperator(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return self._op.derivative_adjoint_apply(self._at, y)
 
+    def column_norms_sq(self, at=None):
+        return self._op.column_norms_sq(self._at)
+
 
 def solve_nonlinear(
     op: ForwardOperator,
@@ -288,7 +327,9 @@ def solve_nonlinear(
     Gauss-Newton outer loop: linearize F at the current iterate, solve the
     resulting linear p=2 problem warm-started there, then damp the step by
     halving (at most 20 times) until the true objective does not increase.
-    Inner solves use inner_max_iter/inner_tol when set.
+    Inner solves use inner_max_iter/inner_tol when set.  Each inner solve
+    starts the power iteration of its metric from the top eigenvector of
+    the previous one, since consecutive linearizations are close.
     """
     if cfg.p != 2:
         raise ValueError("the nonlinear path supports p = 2 only")
@@ -312,12 +353,13 @@ def solve_nonlinear(
     u = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     obj = objective(u)
     trace = [obj]
+    top = None
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
         linear = _LinearizedOperator(op, u)
         shifted_data = data - op.apply(u) + linear.apply(u)
-        inner = solve_linear_p2(linear, shifted_data, spec, inner_cfg, u0=u)
+        inner, top = _forward_backward_p2(linear, shifted_data, spec, inner_cfg, u, top)
         step = inner.minimizer - u
         cand = u + step
         cand_obj = objective(cand)

@@ -11,7 +11,9 @@ from sparsereg.operators import (
     make_diagonal_linear,
     make_toy_nonlinear,
     operator_norm_sq,
+    _power_iteration,
 )
+from sparsereg.solver import _LinearizedOperator
 
 
 def _adjoint_gap(op, rng) -> float:
@@ -190,6 +192,49 @@ def test_operator_norm_sq_nonlinear_at_point():
     jac = a + 0.2 * 2.0 * b * u[np.newaxis, :]
     want = float(np.linalg.eigvalsh(jac.T @ jac).max())
     assert operator_norm_sq(op, at=u) == pytest.approx(want, rel=1e-6)
+
+
+def test_toy_nonlinear_column_norms_at_point():
+    # closed form |a_j + 2*eps*u_j*b_j|^2 against the unit-vector fallback
+    rng = np.random.default_rng(13)
+    op = make_toy_nonlinear(rng.standard_normal((7, 5)), rng.standard_normal((7, 5)), 0.3)
+    u = rng.standard_normal(5)
+    np.testing.assert_allclose(
+        op.column_norms_sq(u), ForwardOperator.column_norms_sq(op, u), rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        op.column_norms_sq(), ForwardOperator.column_norms_sq(op), rtol=1e-12
+    )
+
+
+def test_linearized_column_norms_make_no_applies():
+    rng = np.random.default_rng(14)
+    op = make_toy_nonlinear(rng.standard_normal((6, 4)), rng.standard_normal((6, 4)), 0.2)
+    applies = []
+
+    class Counting(type(op)):
+        def derivative_apply(self, u, h):
+            applies.append(1)
+            return super().derivative_apply(u, h)
+
+    counting = Counting(op.a_matrix, op.b_matrix, op.eps)
+    u = rng.standard_normal(4)
+    got = _LinearizedOperator(counting, u).column_norms_sq()
+    assert applies == []
+    np.testing.assert_allclose(got, ForwardOperator.column_norms_sq(op, u), rtol=1e-12)
+
+
+def test_power_iteration_warm_start_matches_cold_start():
+    rng = np.random.default_rng(15)
+    op = make_dense_linear(rng.standard_normal((12, 9)))
+    cold, top = _power_iteration(op)
+    assert cold == operator_norm_sq(op)
+    nearby = top + 1e-3 * rng.standard_normal(9)
+    kept = nearby.copy()
+    warm, _ = _power_iteration(op, start=nearby)
+    assert warm == pytest.approx(cold, rel=1e-9)
+    # the start vector is normalized in a copy, not in place
+    np.testing.assert_array_equal(nearby, kept)
 
 
 def test_load_matrix_csv(tmp_path):

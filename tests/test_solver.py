@@ -13,6 +13,7 @@ from sparsereg.operators import (
 )
 from sparsereg.penalty import (
     PenaltySpec,
+    _prox_power,
     penalty_subgradient,
     penalty_value,
     prox,
@@ -165,6 +166,51 @@ def test_p2_residual_monotone_in_alpha():
     # smaller alpha fits the data at least as well
     for larger, smaller in zip(residuals, residuals[1:]):
         assert smaller <= larger + 1e-9
+
+
+def test_p2_diagonal_matches_closed_form():
+    # K = diag(s) splits by coordinate: the minimizer is one prox,
+    # u = prox(v/s, alpha*w/(2 s^2)), and the Jacobi metric is K^T K up to
+    # the step safety factor, so a few iterations reach it
+    n = 64
+    s = (np.arange(n) + 1.0) ** -1.0
+    op = make_diagonal_linear(s)
+    rng = np.random.default_rng(16)
+    u_ref = np.zeros(n)
+    u_ref[[0, 5, 15]] = [1.0, -0.8, 0.5]
+    data = op.apply(u_ref) + 1e-3 * rng.standard_normal(n)
+    for q in (1.0, 1.5, 2.0):
+        spec = PenaltySpec.uniform(q, 1.0, n)
+        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=1e-2))
+        want = _prox_power(data / s, 1e-2 * spec.weights / (2.0 * s * s), q)
+        assert report.converged
+        assert report.iterations <= 20
+        assert np.linalg.norm(report.minimizer - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_p2_dense_badly_scaled_columns():
+    # column norms spanning two decades: a scalar step needs 660 (q = 1)
+    # and 1900 (q = 1.5) iterations here, the per-column steps under 100
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((64, 32)) * np.logspace(0, -2, 32)
+    u_ref = np.zeros(32)
+    u_ref[[2, 9, 20]] = [1.0, -0.6, 0.8]
+    op = make_dense_linear(matrix)
+    delta = 1e-4
+    data = op.apply(u_ref) + delta * rng.standard_normal(64)
+    for q in (1.0, 1.5):
+        spec = PenaltySpec.uniform(q, 1.0, 32)
+        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=delta))
+        assert report.converged
+        assert report.iterations <= 200
+        u = report.minimizer
+        grad = 2.0 * op.derivative_adjoint_apply(u, op.apply(u) - data)
+        if q > 1.0:
+            assert np.max(np.abs(grad + delta * penalty_subgradient(u, spec))) <= 1e-8
+        else:
+            lo, hi = subgradient_interval(u, spec)
+            assert np.all(-grad >= delta * lo - 1e-8)
+            assert np.all(-grad <= delta * hi + 1e-8)
 
 
 def test_p1_zero_data_and_scalar_oracle():
