@@ -138,21 +138,9 @@ class ValidationReport:
         }
 
 
-def _derivative_columns(op: ForwardOperator, at, columns) -> np.ndarray:
-    """The given columns of the operator derivative, one apply per column."""
-    at = np.asarray(at, dtype=np.float64)
-    cols = np.empty((op.m, len(columns)))
-    basis = np.zeros(op.n)
-    for k, j in enumerate(columns):
-        basis[j] = 1.0
-        cols[:, k] = op.derivative_apply(at, basis)
-        basis[j] = 0.0
-    return cols
-
-
 def derivative_matrix(op: ForwardOperator, at) -> np.ndarray:
     """Dense m-by-n matrix of the operator derivative at a point."""
-    return _derivative_columns(op, at, range(op.n))
+    return op.derivative_columns(at, range(op.n))
 
 
 def _support(u) -> np.ndarray:
@@ -164,22 +152,37 @@ def check_source_condition(
 ) -> Optional[SourceCertificate]:
     """Certificate that the penalty subgradient lies in the adjoint range.
 
-    For exponent q > 1 the subgradient is unique and the dual vector solves
-    a plain least-squares problem.  For q = 1 the subgradient is fixed on
-    the support and free in [-w, w] elsewhere; the free part is completed
-    by the representable choice of least l2 norm off the support.  That
-    only aims at the margin below the weights that the q = 1 rate
-    construction needs: it does not in general minimize the largest
-    off-support entry, so a certificate with a margin may exist although
-    this one exceeds the weights.  Returns None when the subgradient is not
-    in the adjoint range or the completion exceeds the weights.
+    For exponent q > 1 the subgradient xi is unique and the dual vector
+    solves F'(u)* omega = xi in the least-squares sense.  For q = 1 the
+    subgradient is fixed on the support and free in [-w, w] elsewhere; the
+    free part is completed by the representable choice of least l2 norm
+    off the support.  That only aims at the margin below the weights that
+    the q = 1 rate construction needs: it does not in general minimize the
+    largest off-support entry, so a certificate with a margin may exist
+    although this one exceeds the weights.
+
+    The operator's structured solve `derivative_adjoint_solve` runs first,
+    on xi (q > 1) or on xi = w*sign(u) on the support and 0 elsewhere
+    (q = 1).  It answers only for a square derivative whose singular
+    values all exceed the cutoff max(m, n)*eps*sigma_max that lstsq uses,
+    and then every off-support value is reachable, so zero is the least-l2
+    completion: both routes give the same certificate.  Otherwise the
+    dense route assembles the derivative matrix and solves by SVD and
+    lstsq.  Either way the result is verified by applying the adjoint to
+    omega.  Returns None when the subgradient is not in the adjoint range
+    or the completion exceeds the weights.
     """
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
-    adjoint = derivative_matrix(op, u_dagger).T
     if spec.q > 1.0:
         xi = penalty_subgradient(u_dagger, spec)
-        omega, *_ = np.linalg.lstsq(adjoint, xi, rcond=None)
-        residual = float(np.linalg.norm(adjoint @ omega - xi))
+        omega = op.derivative_adjoint_solve(u_dagger, xi)
+        if omega is None:
+            adjoint = derivative_matrix(op, u_dagger).T
+            omega, *_ = np.linalg.lstsq(adjoint, xi, rcond=None)
+            reached = adjoint @ omega
+        else:
+            reached = op.derivative_adjoint_apply(u_dagger, omega)
+        residual = float(np.linalg.norm(reached - xi))
         if residual > _CERT_TOL * (1.0 + float(np.linalg.norm(xi))):
             return None
         return SourceCertificate(
@@ -196,22 +199,17 @@ def check_source_condition(
             subgradient=np.zeros(op.n), source_element=zero, residual=0.0, source_norm=0.0
         )
     target = spec.weights[support] * np.sign(u_dagger[support])
-    rows = adjoint[support]
-    omega, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    if np.linalg.norm(rows @ omega - target) > _CERT_TOL * (1.0 + np.linalg.norm(target)):
-        return None
-    # move within the solution set of the support rows to shrink the
-    # off-support entries: omega + null-space correction
-    svd_u, svd_s, svd_vt = np.linalg.svd(rows, full_matrices=True)
-    cutoff = max(rows.shape) * np.finfo(np.float64).eps * (svd_s[0] if svd_s.size else 0.0)
-    rank = int(np.sum(svd_s > cutoff))
-    null_basis = svd_vt[rank:].T
+    xi = np.zeros(op.n)
+    xi[support] = target
+    omega = op.derivative_adjoint_solve(u_dagger, xi)
+    if omega is None:
+        completion = _least_l2_completion(derivative_matrix(op, u_dagger).T, support, target)
+        if completion is None:
+            return None
+        omega, xi = completion
+    else:
+        xi = op.derivative_adjoint_apply(u_dagger, omega)
     off = np.delete(np.arange(op.n), support)
-    if null_basis.shape[1] > 0 and off.size > 0:
-        block = adjoint[off] @ null_basis
-        correction, *_ = np.linalg.lstsq(block, -adjoint[off] @ omega, rcond=None)
-        omega = omega + null_basis @ correction
-    xi = adjoint @ omega
     if np.any(np.abs(xi[support] - target) > _CERT_TOL * (1.0 + spec.weights[support])):
         return None
     if off.size > 0 and np.any(np.abs(xi[off]) > spec.weights[off] * (1.0 + 1e-10)):
@@ -224,12 +222,38 @@ def check_source_condition(
     )
 
 
+def _least_l2_completion(adjoint, support, target):
+    """Least-l2 off-support completion on the dense adjoint, by SVD and lstsq.
+
+    Returns (omega, adjoint @ omega) with omega meeting target on the
+    support rows, or None when the support rows cannot reach the target.
+    """
+    rows = adjoint[support]
+    omega, *_ = np.linalg.lstsq(rows, target, rcond=None)
+    if np.linalg.norm(rows @ omega - target) > _CERT_TOL * (1.0 + np.linalg.norm(target)):
+        return None
+    # move within the solution set of the support rows to shrink the
+    # off-support entries: omega + null-space correction
+    svd_u, svd_s, svd_vt = np.linalg.svd(rows, full_matrices=True)
+    cutoff = max(rows.shape) * np.finfo(np.float64).eps * (svd_s[0] if svd_s.size else 0.0)
+    rank = int(np.sum(svd_s > cutoff))
+    null_basis = svd_vt[rank:].T
+    off = np.delete(np.arange(adjoint.shape[0]), support)
+    if null_basis.shape[1] > 0 and off.size > 0:
+        block = adjoint[off] @ null_basis
+        correction, *_ = np.linalg.lstsq(block, -adjoint[off] @ omega, rcond=None)
+        omega = omega + null_basis @ correction
+    return omega, adjoint @ omega
+
+
 def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> InjectivityReport:
     """Smallest singular value of the derivative columns on the support.
 
-    Only the support columns are assembled, one derivative apply each.  An
-    explicit `support` overrides detection from u_dagger.  An empty support
-    reports an infinite constant: there is nothing to invert.
+    Only the support columns are assembled, through the operator's
+    `derivative_columns`: stored columns where the operator holds them,
+    one derivative apply each otherwise.  An explicit `support` overrides
+    detection from u_dagger.  An empty support reports an infinite
+    constant: there is nothing to invert.
     """
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     if support is None:
@@ -240,7 +264,7 @@ def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> In
         return InjectivityReport(
             support=support, smallest_singular_value=np.inf, injectivity_constant=np.inf
         )
-    cols = _derivative_columns(op, u_dagger, support)
+    cols = op.derivative_columns(u_dagger, support)
     singular = np.linalg.svd(cols, compute_uv=False)
     sigma = float(singular.min())
     # numerical-rank cutoff, same convention as matrix_rank

@@ -7,6 +7,7 @@ instances simply ignore the linearization point.
 
 import warnings
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +30,14 @@ def _as_vector(x, size: int, what: str) -> np.ndarray:
 
 
 class ForwardOperator(ABC):
-    """Map F from length-n coefficient vectors to length-m data vectors."""
+    """Map F from length-n coefficient vectors to length-m data vectors.
+
+    Subclasses implement `apply`, `derivative_apply` and
+    `derivative_adjoint_apply`.  The structural queries `column_norms_sq`,
+    `derivative_columns` and `derivative_adjoint_solve` have generic
+    fallbacks (unit-vector applies, or no solve) that kinds holding their
+    matrix, diagonal or frequency response override.
+    """
 
     _n: int
     _m: int
@@ -79,6 +87,33 @@ class ForwardOperator(ABC):
             unit[j] = 0.0
         return out
 
+    def derivative_columns(self, at, columns) -> np.ndarray:
+        """The given columns of the derivative at `at`, as an m-by-k array.
+
+        This fallback applies the derivative to one unit vector per
+        column; kinds that store their matrix or diagonal override it.
+        """
+        at = _as_vector(at, self.n, "linearization point")
+        columns = np.asarray(columns, dtype=np.intp)
+        cols = np.empty((self.m, columns.size))
+        unit = np.zeros(self.n)
+        for k, j in enumerate(columns):
+            unit[j] = 1.0
+            cols[:, k] = self.derivative_apply(at, unit)
+            unit[j] = 0.0
+        return cols
+
+    def derivative_adjoint_solve(self, at, xi) -> Optional[np.ndarray]:
+        """omega with F'(at)* omega = xi, or None when no structured solve applies.
+
+        A kind answers only when its derivative is square and every
+        singular value exceeds max(m, n) * eps * sigma_max, the cutoff
+        below which `np.linalg.lstsq(rcond=None)` treats a singular value
+        as zero; the solve then agrees with the least-squares one.  The
+        generic operator answers None.
+        """
+        return None
+
 
 class _DenseLinear(ForwardOperator):
     def __init__(self, matrix):
@@ -103,6 +138,9 @@ class _DenseLinear(ForwardOperator):
     def column_norms_sq(self, at=None):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
 
+    def derivative_columns(self, at, columns):
+        return self.matrix[:, np.asarray(columns, dtype=np.intp)]
+
 
 class _DiagonalLinear(ForwardOperator):
     def __init__(self, singular_values):
@@ -126,6 +164,18 @@ class _DiagonalLinear(ForwardOperator):
 
     def column_norms_sq(self, at=None):
         return self.singular_values * self.singular_values
+
+    def derivative_columns(self, at, columns):
+        columns = np.asarray(columns, dtype=np.intp)
+        cols = np.zeros((self._n, columns.size))
+        cols[columns, np.arange(columns.size)] = self.singular_values[columns]
+        return cols
+
+    def derivative_adjoint_solve(self, at, xi):
+        s = self.singular_values
+        if s.min() <= self._n * np.finfo(np.float64).eps * s.max():
+            return None
+        return _as_vector(xi, self._n, "subgradient") / s
 
 
 class _CircularConvolution(ForwardOperator):
@@ -160,6 +210,14 @@ class _CircularConvolution(ForwardOperator):
     def column_norms_sq(self, at=None):
         # every column is a circular shift of the zero-padded kernel
         return np.full(self._n, float(self.kernel @ self.kernel))
+
+    def derivative_adjoint_solve(self, at, xi):
+        # the singular values are the moduli of the frequency response
+        modulus = np.abs(self._khat)
+        if modulus.min() <= self._n * np.finfo(np.float64).eps * modulus.max():
+            return None
+        xi = _as_vector(xi, self._n, "subgradient")
+        return np.fft.irfft(np.fft.rfft(xi) / np.conj(self._khat), self._n)
 
 
 class _ToyNonlinear(ForwardOperator):

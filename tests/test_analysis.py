@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsereg.analysis import (
     RateConstants,
@@ -13,13 +14,15 @@ from sparsereg.analysis import (
     theoretical_bound,
     validate_rate_inequality,
 )
+from sparsereg.experiments import generate_problem
 from sparsereg.operators import (
     ForwardOperator,
+    make_convolution_linear,
     make_dense_linear,
     make_diagonal_linear,
     make_toy_nonlinear,
 )
-from sparsereg.penalty import PenaltySpec
+from sparsereg.penalty import PenaltySpec, penalty_subgradient
 
 
 class _CountingOperator(ForwardOperator):
@@ -92,6 +95,100 @@ def test_source_certificate_round_trip_inequality():
         assert lhs <= rhs * (1.0 + 1e-10) + 1e-12
 
 
+def _dense_least_l2_certificate(matrix, u, spec):
+    """(source element, subgradient) of the least-l2 completion, by SVD and lstsq."""
+    adjoint = matrix.T
+    if spec.q > 1.0:
+        xi = penalty_subgradient(u, spec)
+        return np.linalg.lstsq(adjoint, xi, rcond=None)[0], xi
+    support = np.flatnonzero(u)
+    off = np.setdiff1d(np.arange(u.size), support)
+    target = spec.weights[support] * np.sign(u[support])
+    omega = np.linalg.lstsq(adjoint[support], target, rcond=None)[0]
+    null_basis = scipy.linalg.null_space(adjoint[support])
+    shift = np.linalg.lstsq(adjoint[off] @ null_basis, -adjoint[off] @ omega, rcond=None)[0]
+    omega = omega + null_basis @ shift
+    return omega, adjoint @ omega
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "kind, shape",
+    [
+        ("diagonal", {"decay": 1.0}),
+        ("diagonal", {"decay": 2.0}),
+        ("convolution", {"kernel_width": 0.5}),
+        ("convolution", {"kernel_width": 3.0}),
+    ],
+)
+def test_structured_certificate_matches_dense_completion(kind, shape, q):
+    inst = generate_problem(kind, 64, q=q, sparsity=3, seed=1, validate=False, **shape)
+    op, u, spec = inst.operator, inst.u_dagger, inst.spec
+    assert op.derivative_adjoint_solve(u, penalty_subgradient(u, spec)) is not None
+    matrix = np.stack([op.apply(column) for column in np.eye(64)], axis=1)
+    omega, xi = _dense_least_l2_certificate(matrix, u, spec)
+    cert = check_source_condition(op, u, spec)
+    assert cert is not None
+    # two backward-stable solves may differ by about cond * eps; that
+    # exceeds 1e-12 only for the width-3 kernel (cond 1.6e4)
+    tol = max(1e-12, 10.0 * np.linalg.cond(matrix) * np.finfo(np.float64).eps)
+    for got, want in ((cert.source_element, omega), (cert.subgradient, xi)):
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+    assert cert.source_norm == pytest.approx(np.linalg.norm(omega), rel=tol)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_source_condition_square_diagonal_makes_no_dense_work(q):
+    op = make_diagonal_linear((np.arange(4096) + 1.0) ** -1.0)
+    calls = {"apply": 0, "adjoint": 0}
+
+    class Counting(type(op)):
+        def derivative_apply(self, u, h):
+            calls["apply"] += 1
+            return super().derivative_apply(u, h)
+
+        def derivative_adjoint_apply(self, u, y):
+            calls["adjoint"] += 1
+            return super().derivative_adjoint_apply(u, y)
+
+    counting = Counting(op.singular_values)
+    u = np.zeros(4096)
+    u[[0, 5, 4000]] = [1.0, -0.5, 2.0]
+    spec = PenaltySpec.uniform(q, 1.0, 4096)
+    cert = check_source_condition(counting, u, spec)
+    assert cert is not None
+    assert calls["apply"] == 0
+    assert calls["adjoint"] <= 2
+    xi = penalty_subgradient(u, spec) if q > 1.0 else np.sign(u)
+    np.testing.assert_allclose(cert.source_element, xi / op.singular_values, rtol=1e-15)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "op, u",
+    [
+        (make_diagonal_linear(np.array([1.0, 1e-17])), np.array([1.0, 0.0])),
+        (make_diagonal_linear(np.array([1.0, 1e-17])), np.array([1.0, -1.0])),
+        (make_convolution_linear(np.array([0.5, 0.5]), 4), np.array([1.0, 0.0, 0.0, 0.0])),
+        (make_convolution_linear(np.array([0.5, 0.5]), 4), np.array([1.0, 0.0, -2.0, 0.0])),
+    ],
+)
+def test_numerically_singular_square_operators_take_the_dense_path(op, u, q):
+    # no structured solve below the lstsq cutoff (1e-17 < 2 * eps; the
+    # [0.5, 0.5] kernel has an exact zero at the Nyquist frequency), so the
+    # certificate is the dense operator's, bit for bit, None included
+    spec = PenaltySpec.uniform(q, 1.0, op.n)
+    assert op.derivative_adjoint_solve(u, penalty_subgradient(u, spec)) is None
+    got = check_source_condition(op, u, spec)
+    want = check_source_condition(make_dense_linear(derivative_matrix(op, u)), u, spec)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.source_element == want.source_element).all()
+        assert (got.subgradient == want.subgradient).all()
+        assert got.source_norm == want.source_norm
+        assert got.residual == want.residual
+
+
 def test_injectivity_golden():
     ident = make_dense_linear(np.eye(4))
     rep = check_support_injectivity(ident, np.array([1.0, 0.0, 2.0, 0.0]))
@@ -147,6 +244,29 @@ def test_injectivity_applies_only_support_columns():
     op.derivative_applies = 0
     check_support_injectivity(op, u, support=[0, 5])
     assert op.derivative_applies == 2
+
+
+def test_stored_columns_make_no_applies():
+    # dense and diagonal operators hand out their stored columns
+    rng = np.random.default_rng(5)
+    u = np.zeros(6)
+    u[[1, 4]] = [1.0, -2.0]
+    for op, attr in (
+        (make_dense_linear(rng.standard_normal((8, 6))), "matrix"),
+        (make_diagonal_linear(np.linspace(1.0, 0.1, 6)), "singular_values"),
+    ):
+        applies = []
+
+        class Counting(type(op)):
+            def derivative_apply(self, u, h):
+                applies.append(1)
+                return super().derivative_apply(u, h)
+
+        counting = Counting(getattr(op, attr))
+        assert (derivative_matrix(counting, u) == derivative_matrix(op, u)).all()
+        rep = check_support_injectivity(counting, u)
+        assert rep.injective
+        assert applies == []
 
 
 def test_derivative_matrix_assembly():

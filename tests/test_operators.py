@@ -183,6 +183,58 @@ def test_column_norms_sq_match_unit_vector_fallback():
     )
 
 
+def test_derivative_columns_match_unit_vector_fallback():
+    # stored columns are exactly what one derivative apply per unit vector
+    # gives, in the requested order, for every linear kind
+    rng = np.random.default_rng(12)
+    for op in (
+        make_dense_linear(rng.standard_normal((5, 7))),
+        make_diagonal_linear(np.array([2.0, 0.5, 1e-3, 7.0, 0.25, 1.5, 3.0])),
+        make_convolution_linear(np.array([0.5, -1.0, 2.0]), 7),
+    ):
+        at = np.zeros(op.n)
+        for columns in ([4, 0, 6, 0], range(op.n), []):
+            got = op.derivative_columns(at, columns)
+            want = ForwardOperator.derivative_columns(op, at, columns)
+            assert got.shape == want.shape == (op.m, len(columns))
+            assert (got == want).all()
+
+
+def test_diagonal_adjoint_solve():
+    s = np.array([2.0, 0.5, 1e-3])
+    op = make_diagonal_linear(s)
+    xi = np.array([1.0, -3.0, 0.25])
+    omega = op.derivative_adjoint_solve(np.zeros(3), xi)
+    np.testing.assert_allclose(omega, xi / s, rtol=1e-15)
+    np.testing.assert_allclose(op.derivative_adjoint_apply(np.zeros(3), omega), xi, rtol=1e-15)
+    # 1e-17 lies below the lstsq cutoff 2 * eps * 1: no solve
+    assert make_diagonal_linear(np.array([1.0, 1e-17])).derivative_adjoint_solve(
+        np.zeros(2), np.ones(2)
+    ) is None
+
+
+def test_convolution_adjoint_solve():
+    rng = np.random.default_rng(16)
+    op = make_convolution_linear(np.array([1.0, 0.4, -0.2]), 16)
+    xi = rng.standard_normal(16)
+    omega = op.derivative_adjoint_solve(np.zeros(16), xi)
+    np.testing.assert_allclose(op.derivative_adjoint_apply(np.zeros(16), omega), xi, atol=1e-13)
+    # against a dense solve with the matrix assembled column by column
+    mat = np.stack([op.apply(np.eye(16)[j]) for j in range(16)], axis=1)
+    np.testing.assert_allclose(omega, np.linalg.solve(mat.T, xi), rtol=1e-12, atol=1e-13)
+    # [0.5, 0.5] on length 4 has an exact zero at the Nyquist frequency
+    singular = make_convolution_linear(np.array([0.5, 0.5]), 4)
+    assert singular.derivative_adjoint_solve(np.zeros(4), np.ones(4)) is None
+
+
+def test_unstructured_kinds_have_no_adjoint_solve():
+    rng = np.random.default_rng(17)
+    square = make_dense_linear(np.eye(3))
+    toy = make_toy_nonlinear(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), 0.1)
+    assert square.derivative_adjoint_solve(np.zeros(3), np.ones(3)) is None
+    assert toy.derivative_adjoint_solve(np.zeros(3), np.ones(3)) is None
+
+
 def test_operator_norm_sq_nonlinear_at_point():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 4))
