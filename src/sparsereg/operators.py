@@ -253,10 +253,19 @@ class _ToyNonlinear(ForwardOperator):
         return self.a_matrix.T @ y + 2.0 * self.eps * u * (self.b_matrix.T @ y)
 
     def column_norms_sq(self, at=None):
-        # column j of the derivative at u is a_j + 2*eps*u_j*b_j
-        at = np.zeros(self._n) if at is None else _as_vector(at, self._n, "linearization point")
-        columns = self.a_matrix + (2.0 * self.eps * at) * self.b_matrix
+        at = np.zeros(self._n) if at is None else at
+        columns = self.derivative_columns(at, np.arange(self._n))
         return np.einsum("ij,ij->j", columns, columns)
+
+    def derivative_columns(self, at, columns):
+        # column j of the derivative at u is a_j + 2*eps*u_j*b_j, rounded
+        # as derivative_apply rounds it for the unit vector e_j; take()
+        # keeps the row-major layout of the fallback, so products with the
+        # result sum in the same order
+        at = _as_vector(at, self._n, "linearization point")
+        columns = np.asarray(columns, dtype=np.intp)
+        scaled = np.take(self.b_matrix, columns, axis=1) * at[columns]
+        return np.take(self.a_matrix, columns, axis=1) + 2.0 * self.eps * scaled
 
 
 def make_dense_linear(matrix) -> ForwardOperator:

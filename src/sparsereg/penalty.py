@@ -72,7 +72,14 @@ def _check_len(u: np.ndarray, spec: PenaltySpec) -> np.ndarray:
 
 def penalty_value(u, spec: PenaltySpec) -> float:
     """sum_i w_i * |u_i|^q."""
-    u = _check_len(u, spec)
+    return _penalty_value(_check_len(u, spec), spec)
+
+
+def _penalty_value(u: np.ndarray, spec: PenaltySpec) -> float:
+    """penalty_value without the argument check, for solver loops.
+
+    ``u`` must already be a float array of length spec.n.
+    """
     if spec.q == 1.0:
         return float(np.dot(spec.weights, np.abs(u)))
     if spec.q == 2.0:
@@ -246,10 +253,14 @@ def _prox_power(z, thresh, q):
     """Coefficientwise minimizer of x -> 0.5*(x - z_i)^2 + thresh_i*|x|^q.
 
     ``z`` and ``thresh`` are 1-d float arrays of equal length, ``thresh``
-    nonnegative, ``1 <= q <= 2``.  q = 1 and q = 2 are closed forms.  For
-    interior q the stationarity equation x + c*x^(q-1) = |z|, c = q*thresh,
-    is solved in y = x^(q-1): g(y) = y^r + c*y - |z| with r = 1/(q-1) is
-    convex and increasing, so Newton started from the upper bound
+    nonnegative, ``1 <= q <= 2``.  For x >= 0 the stationarity equation
+    is x + c*x^(q-1) = |z| with c = q*thresh.  q = 1 and q = 2 are closed
+    forms, and so is q = 3/2 (Combettes & Pesquet 2007): there y = x^(1/2)
+    solves y^2 + c*y = |z|, whose root is taken in the cancellation-free
+    form y = 2|z| / (c + sqrt(c^2 + 4|z|)), and x = y^2; z = 0 with
+    thresh = 0 gives 0.  For other interior q the equation is solved in
+    y = x^(q-1): g(y) = y^r + c*y - |z| with r = 1/(q-1) is convex and
+    increasing, so Newton started from the upper bound
     min(|z|/c, |z|^(q-1)) decreases monotonically onto the root.
 
     For 1.001 <= q < 2, |z| in [1e-8, 1e6] and thresh in [1e-4, 1e2] the
@@ -268,6 +279,11 @@ def _prox_power(z, thresh, q):
 
     a = np.abs(z)
     c = q * thresh
+    if q == 1.5:
+        # the denominator is 0 only where z = 0 and thresh = 0; y stays 0 there
+        denom = c + np.sqrt(c * c + 4.0 * a)
+        y = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=denom > 0.0)
+        return np.sign(z) * (y * y)
     r = 1.0 / (q - 1.0)
     # thresh = 0 gives |z|/0 = inf (or nan at z = 0) and a zero derivative
     # at y = 0; fmin drops those nans and keeps such lanes at their bound

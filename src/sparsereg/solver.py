@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import ForwardOperator, _power_iteration
-from .penalty import PenaltySpec, _prox_power, penalty_value
+from .operators import ForwardOperator, _power_iteration, make_dense_linear
+from .penalty import PenaltySpec, _penalty_value, _prox_power, penalty_value
 
 __all__ = [
     "SolverConfig",
@@ -160,47 +160,55 @@ def _forward_backward_p2(op, data, spec, cfg, u0, start=None):
     """solve_linear_p2 on checked inputs, with the metric's warm start.
 
     Returns the report and the top eigenvector of the metric's power
-    iteration, which warm-starts it for a nearby operator.
+    iteration, which warm-starts it for a nearby operator.  The loop
+    carries the image K u of each iterate next to it: since K is linear,
+    the extrapolated point's image is the same combination of the images,
+    so each forward-backward step makes one apply (of its result, which
+    the objective reuses) and one adjoint apply.
     """
     x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
 
-    def objective(u):
-        r = op.apply(u) - data
-        return float(r @ r) + cfg.alpha * penalty_value(u, spec)
+    def objective(u, image):
+        r = image - data
+        return float(r @ r) + cfg.alpha * _penalty_value(u, spec)
 
-    obj = objective(x)
+    x_image = op.apply(x)
+    obj = objective(x, x_image)
     trace = [obj]
     metric = _jacobi_metric(op, start)
     if metric is None:
         # zero operator: the penalty alone drives every coefficient to zero
         zero = np.zeros(op.n)
-        return _report(op, data, spec, cfg, zero, 0, True, trace + [objective(zero)]), start
+        trace.append(objective(zero, op.apply(zero)))
+        return _report(op, data, spec, cfg, zero, 0, True, trace), start
     t, lip, top = metric
     step = (cfg.step_safety / lip) * t
     thresh = step * (cfg.alpha / 2.0) * spec.weights
 
-    def forward_backward(u):
-        grad = op.derivative_adjoint_apply(u, op.apply(u) - data)
-        return _prox_power(u - step * grad, thresh, spec.q)
+    def forward_backward(u, image):
+        grad = op.derivative_adjoint_apply(u, image - data)
+        out = _prox_power(u - step * grad, thresh, spec.q)
+        out_image = op.apply(out)
+        return out, out_image, objective(out, out_image)
 
-    y = x.copy()
+    y, y_image = x, x_image
     momentum = 1.0
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
-        cand = forward_backward(y)
-        cand_obj = objective(cand)
+        cand, cand_image, cand_obj = forward_backward(y, y_image)
         if cand_obj > obj:
             # restart: the plain step from x cannot increase the objective
             momentum = 1.0
-            cand = forward_backward(x)
-            cand_obj = objective(cand)
+            cand, cand_image, cand_obj = forward_backward(x, x_image)
             if cand_obj > obj:
-                cand, cand_obj = x, obj
+                cand, cand_image, cand_obj = x, x_image, obj
         momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        y = cand + ((momentum - 1.0) / momentum_next) * (cand - x)
+        beta = (momentum - 1.0) / momentum_next
+        y = cand + beta * (cand - x)
+        y_image = cand_image + beta * (cand_image - x_image)
         shift = float(np.linalg.norm(cand - x))
-        x, obj, momentum = cand, cand_obj, momentum_next
+        x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
         trace.append(obj)
         if shift <= cfg.tol * (1.0 + float(np.linalg.norm(x))):
             converged = True
@@ -292,29 +300,6 @@ class _ColumnScaledOperator(ForwardOperator):
         return self._scale * self._op.derivative_adjoint_apply(u, y)
 
 
-class _LinearizedOperator(ForwardOperator):
-    """Derivative of a nonlinear operator at a fixed point, as a linear map."""
-
-    def __init__(self, op: ForwardOperator, at: np.ndarray):
-        self._op = op
-        self._at = at
-        self._n = op.n
-        self._m = op.m
-        self._linear = True
-
-    def apply(self, u):
-        return self._op.derivative_apply(self._at, u)
-
-    def derivative_apply(self, u, h):
-        return self._op.derivative_apply(self._at, h)
-
-    def derivative_adjoint_apply(self, u, y):
-        return self._op.derivative_adjoint_apply(self._at, y)
-
-    def column_norms_sq(self, at=None):
-        return self._op.column_norms_sq(self._at)
-
-
 def solve_nonlinear(
     op: ForwardOperator,
     data,
@@ -324,12 +309,14 @@ def solve_nonlinear(
 ) -> SolveReport:
     """Minimize ||F(u) - v||^2 + alpha*R(u) for differentiable F.
 
-    Gauss-Newton outer loop: linearize F at the current iterate, solve the
-    resulting linear p=2 problem warm-started there, then damp the step by
-    halving (at most 20 times) until the true objective does not increase.
-    Inner solves use inner_max_iter/inner_tol when set.  Each inner solve
-    starts the power iteration of its metric from the top eigenvector of
-    the previous one, since consecutive linearizations are close.
+    Gauss-Newton outer loop: linearize F at the current iterate by
+    assembling its derivative once as a dense matrix (`derivative_columns`),
+    solve the resulting linear p=2 problem warm-started there, then damp
+    the step by halving (at most 20 times) until the true objective does
+    not increase.  Inner solves use inner_max_iter/inner_tol when set.
+    Each inner solve starts the power iteration of its metric from the top
+    eigenvector of the previous one, since consecutive linearizations are
+    close.
     """
     if cfg.p != 2:
         raise ValueError("the nonlinear path supports p = 2 only")
@@ -357,7 +344,7 @@ def solve_nonlinear(
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
-        linear = _LinearizedOperator(op, u)
+        linear = make_dense_linear(op.derivative_columns(u, range(op.n)))
         shifted_data = data - op.apply(u) + linear.apply(u)
         inner, top = _forward_backward_p2(linear, shifted_data, spec, inner_cfg, u, top)
         step = inner.minimizer - u

@@ -13,7 +13,6 @@ from sparsereg.operators import (
     operator_norm_sq,
     _power_iteration,
 )
-from sparsereg.solver import _LinearizedOperator
 
 
 def _adjoint_gap(op, rng) -> float:
@@ -259,7 +258,9 @@ def test_toy_nonlinear_column_norms_at_point():
     )
 
 
-def test_linearized_column_norms_make_no_applies():
+def test_toy_nonlinear_derivative_columns_make_no_applies():
+    # the assembled Jacobian a_j + 2*eps*u_j*b_j, which each Gauss-Newton
+    # step builds, matches one derivative apply per unit vector
     rng = np.random.default_rng(14)
     op = make_toy_nonlinear(rng.standard_normal((6, 4)), rng.standard_normal((6, 4)), 0.2)
     applies = []
@@ -271,9 +272,11 @@ def test_linearized_column_norms_make_no_applies():
 
     counting = Counting(op.a_matrix, op.b_matrix, op.eps)
     u = rng.standard_normal(4)
-    got = _LinearizedOperator(counting, u).column_norms_sq()
+    got = counting.derivative_columns(u, range(4))
     assert applies == []
-    np.testing.assert_allclose(got, ForwardOperator.column_norms_sq(op, u), rtol=1e-12)
+    want = ForwardOperator.derivative_columns(op, u, range(4))
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    np.testing.assert_allclose(got[:, [2, 0]], counting.derivative_columns(u, [2, 0]), rtol=1e-15)
 
 
 def test_power_iteration_warm_start_matches_cold_start():

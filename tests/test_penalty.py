@@ -243,6 +243,21 @@ def test_prox_relative_accuracy_sweep():
         _assert_prox_near_root(z, thresh, q)
 
 
+def test_prox_q15_closed_form_edges():
+    # the q = 3/2 closed form raises no floating-point warning at its edges:
+    # z = 0 (with thresh = 0 its denominator is 0), thresh = 0, and a root
+    # near zero where |z| is tiny against the threshold
+    with np.errstate(all="raise"):
+        for thresh in (0.0, 0.7):
+            got = penalty._prox_power(np.array([0.0, -0.0]), np.full(2, thresh), 1.5)
+            assert (got == 0.0).all()
+        z = np.array([-3.0, -1e-8, 0.5, 2.0, 1e6])
+        np.testing.assert_allclose(penalty._prox_power(z, np.zeros(5), 1.5), z, rtol=1e-15)
+        got = penalty._prox_power(np.array([1e-8]), np.array([1e2]), 1.5)[0]
+    want = float(_log_bisection_root(1e-8, 1.5 * 1e2, 1.5))
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_zero_threshold_is_identity():
     z = np.linspace(-2.0, 2.0, 9)
     for q in (1.0, 1.5, 2.0):

@@ -1,10 +1,15 @@
 """Solvers for the regularized functional: goldens, certificates, traces."""
 
+import collections
+
 import numpy as np
 import pytest
 
+from sparsereg import solver
 from sparsereg.experiments import generate_problem
 from sparsereg.operators import (
+    _DenseLinear,
+    _ToyNonlinear,
     make_convolution_linear,
     make_dense_linear,
     make_diagonal_linear,
@@ -213,6 +218,46 @@ def test_p2_dense_badly_scaled_columns():
             assert np.all(-grad <= delta * hi + 1e-8)
 
 
+def test_p2_one_apply_and_one_adjoint_per_step(monkeypatch):
+    # the loop carries the image K u next to each iterate, so every
+    # forward-backward step (one prox call: one per iteration plus one per
+    # restart) makes one apply and one adjoint apply.  The metric's power
+    # iteration pairs each derivative_apply with an adjoint apply
+    calls = collections.Counter()
+
+    class Counting(_DenseLinear):
+        def apply(self, u):
+            calls["apply"] += 1
+            return super().apply(u)
+
+        def derivative_apply(self, u, h):
+            calls["derivative_apply"] += 1
+            return super().derivative_apply(u, h)
+
+        def derivative_adjoint_apply(self, u, y):
+            calls["adjoint"] += 1
+            return super().derivative_adjoint_apply(u, y)
+
+    steps = []
+
+    def counting_prox(z, thresh, q):
+        steps.append(1)
+        return _prox_power(z, thresh, q)
+
+    monkeypatch.setattr(solver, "_prox_power", counting_prox)
+    rng = np.random.default_rng(0)
+    op = Counting(rng.standard_normal((16, 24)))
+    data = rng.standard_normal(16)
+    spec = PenaltySpec.uniform(1.5, 1.0, 24)
+    report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=1e-2))
+    assert report.converged
+    # the instance restarts a few times, which the bounds below allow for
+    assert len(steps) > report.iterations
+    # one apply of the start point and one of the returned minimizer
+    assert calls["apply"] <= len(steps) + 2
+    assert calls["adjoint"] - calls["derivative_apply"] <= len(steps)
+
+
 def test_p1_zero_data_and_scalar_oracle():
     op = make_dense_linear(np.eye(3))
     spec = PenaltySpec.uniform(1.0, 1.0, 3)
@@ -414,6 +459,32 @@ def test_nonlinear_cross_solver_comparison():
         + 0.05 * penalty_value(linear_report.minimizer, spec)
     )
     assert nonlinear_report.objective <= linearized_objective + 1e-6
+
+
+def test_nonlinear_inner_solves_make_no_derivative_applies():
+    # each Gauss-Newton step assembles its Jacobian once from stored
+    # matrices; the inner solves run on that matrix and never call back
+    # into the derivative of F
+    calls = collections.Counter()
+
+    class Counting(_ToyNonlinear):
+        def derivative_apply(self, u, h):
+            calls["derivative_apply"] += 1
+            return super().derivative_apply(u, h)
+
+        def derivative_adjoint_apply(self, u, y):
+            calls["adjoint"] += 1
+            return super().derivative_adjoint_apply(u, y)
+
+    rng = np.random.default_rng(9)
+    op = Counting(rng.standard_normal((12, 8)), rng.standard_normal((12, 8)), 0.1)
+    u_ref = np.zeros(8)
+    u_ref[[0, 3, 6]] = [0.9, -1.1, 0.7]
+    spec = PenaltySpec.uniform(1.5, 1.0, 8)
+    report = solve_nonlinear(op, op.apply(u_ref), spec, SolverConfig(p=2, alpha=0.05))
+    assert report.converged
+    assert report.iterations > 1
+    assert calls == {}
 
 
 def test_nonlinear_rejects_p1():
