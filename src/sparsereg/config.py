@@ -8,6 +8,7 @@ falling back to defaults.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -54,8 +55,16 @@ def _parse_positions(text: str) -> Tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+def _parse_float(text: str) -> float:
+    # nan and inf parse as floats but would only fail later, inside a solve
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_weights(text: str) -> Tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
 
 
 _SCHEMA = {
@@ -64,31 +73,31 @@ _SCHEMA = {
         "n": ("n", int),
         "m": ("m", int),
         "sparsity": ("sparsity", int),
-        "q": ("q", float),
+        "q": ("q", _parse_float),
         "p": ("p", int),
         "seed": ("seed", int),
-        "decay": ("decay", float),
-        "kernel_width": ("kernel_width", float),
-        "eps": ("eps", float),
+        "decay": ("decay", _parse_float),
+        "kernel_width": ("kernel_width", _parse_float),
+        "eps": ("eps", _parse_float),
         "matrix_path": ("matrix_path", str),
         "positions": ("positions", _parse_positions),
     },
     "weights": {
         "mode": ("weights_mode", str),
-        "value": ("weight", float),
+        "value": ("weight", _parse_float),
         "values": ("weights", _parse_weights),
     },
     "sweep": {
-        "delta_min": ("delta_min", float),
-        "delta_max": ("delta_max", float),
+        "delta_min": ("delta_min", _parse_float),
+        "delta_max": ("delta_max", _parse_float),
         "delta_count": ("delta_count", int),
-        "c_alpha": ("c_alpha", float),
+        "c_alpha": ("c_alpha", _parse_float),
         "trials": ("trials", int),
     },
     "solver": {
         "max_iter": ("solver_max_iter", int),
-        "tol": ("solver_tol", float),
-        "alpha": ("alpha", float),
+        "tol": ("solver_tol", _parse_float),
+        "alpha": ("alpha", _parse_float),
     },
     "output": {
         "directory": ("out_dir", str),

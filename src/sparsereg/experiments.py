@@ -30,7 +30,7 @@ from .operators import (
     make_toy_nonlinear,
 )
 from .penalty import PenaltySpec, penalty_subgradient
-from .solver import SolverConfig, solve_linear_p1, solve_linear_p2, solve_nonlinear
+from .solver import SolverConfig, _solve_p2, solve_linear_p1
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -344,12 +344,23 @@ def solve_instance(
     max_iter: int = 50000,
 ):
     """Solve one regularized problem, dispatching on p and linearity."""
-    cfg = SolverConfig(p=instance.p, alpha=alpha, max_iter=max_iter, tol=tol)
-    if not instance.operator.is_linear:
-        return solve_nonlinear(instance.operator, data, instance.spec, cfg)
-    if instance.p == 1:
-        return solve_linear_p1(instance.operator, data, instance.spec, cfg)
-    return solve_linear_p2(instance.operator, data, instance.spec, cfg)
+    return _solve_cells(instance, [data], [alpha], [tol], max_iter)[0]
+
+
+def _solve_cells(instance: ProblemInstance, data, alphas, tols, max_iter: int) -> list:
+    """One report per data row, row b solved with alphas[b] and tols[b].
+
+    p = 2 rows, linear or not, go through one batched solve; p = 1 rows
+    go one at a time through the primal-dual solver.
+    """
+    cfgs = [
+        SolverConfig(p=instance.p, alpha=alpha, max_iter=max_iter, tol=tol)
+        for alpha, tol in zip(alphas, tols)
+    ]
+    op, spec = instance.operator, instance.spec
+    if op.is_linear and instance.p == 1:
+        return [solve_linear_p1(op, row, spec, cfg) for row, cfg in zip(data, cfgs)]
+    return _solve_p2(op, data, spec, cfgs)
 
 
 def run_sweep(
@@ -364,13 +375,14 @@ def run_sweep(
 ) -> SweepResult:
     """Noise sweep with the regularization weight tied to the noise level.
 
-    Runs trials_per_delta seeded noise draws per level, one cell after
-    another; each cell derives its own seed from (seed, level index, trial
-    index), so its row depends on nothing else.  The rate is fitted on
-    per-level mean errors, skipping levels where the solver stopping
-    threshold is within 1% of the measured error (those measurements would
-    reflect the optimizer floor, not the regularization error).  Requires
-    at least four usable levels.
+    Runs trials_per_delta seeded noise draws per level.  Each cell derives
+    its own seed from (seed, level index, trial index), and for p = 2 all
+    cells are solved as the rows of one batch, each row bit-identical to
+    solving its cell alone; so a row depends on nothing else.  The rate is
+    fitted on per-level mean errors, skipping levels where the solver
+    stopping threshold is within 1% of the measured error (those
+    measurements would reflect the optimizer floor, not the regularization
+    error).  Requires at least four usable levels.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 2 or any(d <= 0.0 for d in deltas):
@@ -384,17 +396,23 @@ def run_sweep(
             "p = 1 sweep needs c_alpha below the reciprocal of the residual coefficient"
         )
 
-    def run_cell(level: int, trial: int):
+    cells = [(level, trial) for level in range(len(deltas)) for trial in range(trials_per_delta)]
+    levels = [deltas[level] for level, _ in cells]
+    alphas = [alpha_rule(delta, instance.p, c_alpha) for delta in levels]
+    tols = [min(solver_tol, 1e-4 * delta) for delta in levels]
+    noisy = np.array(
+        [
+            add_noise(instance.clean_data, deltas[level], np.random.SeedSequence([seed, level, trial]))
+            for level, trial in cells
+        ]
+    )
+    reports = _solve_cells(instance, noisy, alphas, tols, solver_max_iter)
+
+    outcomes = []
+    for (level, trial), alpha, tol, report in zip(cells, alphas, tols, reports):
         delta = deltas[level]
-        alpha = alpha_rule(delta, instance.p, c_alpha)
-        cell_seed = np.random.SeedSequence([seed, level, trial])
-        noisy = add_noise(instance.clean_data, delta, cell_seed)
-        tol = min(solver_tol, 1e-4 * delta)
-        report = solve_instance(instance, noisy, alpha, tol, solver_max_iter)
         if constants is not None:
-            err_bound, residual_bound = theoretical_bound(
-                constants, instance.p, alpha, delta
-            )
+            err_bound, residual_bound = theoretical_bound(constants, instance.p, alpha, delta)
         else:
             err_bound = residual_bound = float("nan")
         floor = tol * (1.0 + float(np.linalg.norm(report.minimizer)))
@@ -409,9 +427,7 @@ def run_sweep(
             iterations=report.iterations,
             converged=report.converged,
         )
-        return row, floor
-
-    outcomes = [run_cell(i, t) for i in range(len(deltas)) for t in range(trials_per_delta)]
+        outcomes.append((row, floor))
 
     rows = [row for row, _ in outcomes]
     fit_deltas = []

@@ -2,7 +2,9 @@
 
 Each operator exposes its action, the action of its derivative at a point,
 and the adjoint of that derivative, which is all the solvers need.  Linear
-instances simply ignore the linearization point.
+instances simply ignore the linearization point.  The three actions also
+take a (B, n) stack of rows and act on each row, bit-identically to acting
+on that row alone, so one call serves a whole batch of solves.
 """
 
 import warnings
@@ -29,14 +31,47 @@ def _as_vector(x, size: int, what: str) -> np.ndarray:
     return x
 
 
+def _as_rows(x, size: int, what: str) -> np.ndarray:
+    """A vector of length size, or a (B, size) stack of such rows."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != size:
+        raise ValueError(f"expected {what} of length {size} or rows of it, got shape {x.shape}")
+    return x
+
+
+def _matvec(a, x):
+    """a @ x for a vector x, or for each row of a (B, k) stack x.
+
+    a is an (m, k) matrix shared by every row, or a (B, m, k) stack with
+    one matrix per row.  The stacked product runs the 1-d product's BLAS
+    matrix-vector kernel once per row, so every row is bit-identical to
+    its own 1-d product; a matrix product with the stack would not be.
+    """
+    if x.ndim == 1:
+        return a @ x
+    return (a @ x[:, :, None])[:, :, 0]
+
+
+def _row_dots(a, b):
+    """Per-row dot products of two (B, k) stacks, as a (B,) array.
+
+    A stacked (1, k) @ (k, 1) product runs the dot kernel of the 1-d
+    a[i] @ b[i] (and of np.linalg.norm); einsum and (a*b).sum(1) sum in
+    another order and are not bit-identical to it.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 class ForwardOperator(ABC):
     """Map F from length-n coefficient vectors to length-m data vectors.
 
     Subclasses implement `apply`, `derivative_apply` and
-    `derivative_adjoint_apply`.  The structural queries `column_norms_sq`,
-    `derivative_columns` and `derivative_adjoint_solve` have generic
-    fallbacks (unit-vector applies, or no solve) that kinds holding their
-    matrix, diagonal or frequency response override.
+    `derivative_adjoint_apply`, each for one vector or a (B, n) (or
+    (B, m)) stack of rows.  The structural queries `column_norms_sq`,
+    `derivative_columns` and `derivative_adjoint_solve` take single
+    vectors and have generic fallbacks (unit-vector applies, or no solve)
+    that kinds holding their matrix, diagonal or frequency response
+    override.
     """
 
     _n: int
@@ -103,6 +138,16 @@ class ForwardOperator(ABC):
             unit[j] = 0.0
         return cols
 
+    def _rows(self, keep, in_place: bool = False) -> "ForwardOperator":
+        """The operator that acts on the batch rows `keep`.
+
+        One operator serves every row; a stack with one operator per row
+        overrides this to keep only the given rows.  in_place lets such a
+        stack move the kept rows to the front of its own storage instead
+        of copying them, for a caller that drops the operator itself.
+        """
+        return self
+
     def derivative_adjoint_solve(self, at, xi) -> Optional[np.ndarray]:
         """omega with F'(at)* omega = xi, or None when no structured solve applies.
 
@@ -127,13 +172,13 @@ class _DenseLinear(ForwardOperator):
         self._linear = True
 
     def apply(self, u):
-        return self.matrix @ _as_vector(u, self._n, "coefficient vector")
+        return _matvec(self.matrix, _as_rows(u, self._n, "coefficient vector"))
 
     def derivative_apply(self, u, h):
-        return self.matrix @ _as_vector(h, self._n, "direction")
+        return _matvec(self.matrix, _as_rows(h, self._n, "direction"))
 
     def derivative_adjoint_apply(self, u, y):
-        return self.matrix.T @ _as_vector(y, self._m, "data vector")
+        return _matvec(self.matrix.T, _as_rows(y, self._m, "data vector"))
 
     def column_norms_sq(self, at=None):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
@@ -154,13 +199,13 @@ class _DiagonalLinear(ForwardOperator):
         self._linear = True
 
     def apply(self, u):
-        return self.singular_values * _as_vector(u, self._n, "coefficient vector")
+        return self.singular_values * _as_rows(u, self._n, "coefficient vector")
 
     def derivative_apply(self, u, h):
-        return self.singular_values * _as_vector(h, self._n, "direction")
+        return self.singular_values * _as_rows(h, self._n, "direction")
 
     def derivative_adjoint_apply(self, u, y):
-        return self.singular_values * _as_vector(y, self._m, "data vector")
+        return self.singular_values * _as_rows(y, self._m, "data vector")
 
     def column_norms_sq(self, at=None):
         return self.singular_values * self.singular_values
@@ -196,15 +241,16 @@ class _CircularConvolution(ForwardOperator):
         self._n = self._m = n
         self._linear = True
 
+    # the transforms run along the last axis, once per row of a stack
     def apply(self, u):
-        u = _as_vector(u, self._n, "coefficient vector")
+        u = _as_rows(u, self._n, "coefficient vector")
         return np.fft.irfft(np.fft.rfft(u) * self._khat, self._n)
 
     def derivative_apply(self, u, h):
         return self.apply(h)
 
     def derivative_adjoint_apply(self, u, y):
-        y = _as_vector(y, self._m, "data vector")
+        y = _as_rows(y, self._m, "data vector")
         return np.fft.irfft(np.fft.rfft(y) * np.conj(self._khat), self._n)
 
     def column_norms_sq(self, at=None):
@@ -239,18 +285,18 @@ class _ToyNonlinear(ForwardOperator):
         self._linear = False
 
     def apply(self, u):
-        u = _as_vector(u, self._n, "coefficient vector")
-        return self.a_matrix @ u + self.eps * (self.b_matrix @ (u * u))
+        u = _as_rows(u, self._n, "coefficient vector")
+        return _matvec(self.a_matrix, u) + self.eps * _matvec(self.b_matrix, u * u)
 
     def derivative_apply(self, u, h):
-        u = _as_vector(u, self._n, "linearization point")
-        h = _as_vector(h, self._n, "direction")
-        return self.a_matrix @ h + 2.0 * self.eps * (self.b_matrix @ (u * h))
+        u = _as_rows(u, self._n, "linearization point")
+        h = _as_rows(h, self._n, "direction")
+        return _matvec(self.a_matrix, h) + 2.0 * self.eps * _matvec(self.b_matrix, u * h)
 
     def derivative_adjoint_apply(self, u, y):
-        u = _as_vector(u, self._n, "linearization point")
-        y = _as_vector(y, self._m, "data vector")
-        return self.a_matrix.T @ y + 2.0 * self.eps * u * (self.b_matrix.T @ y)
+        u = _as_rows(u, self._n, "linearization point")
+        y = _as_rows(y, self._m, "data vector")
+        return _matvec(self.a_matrix.T, y) + 2.0 * self.eps * u * _matvec(self.b_matrix.T, y)
 
     def column_norms_sq(self, at=None):
         at = np.zeros(self._n) if at is None else at
@@ -310,33 +356,43 @@ def operator_norm_sq(op: ForwardOperator, at=None) -> float:
     return _power_iteration(op, at)[0]
 
 
+def _power_start(n: int) -> np.ndarray:
+    """The seeded start vector of the power iteration, before scaling."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _power_iteration(op: ForwardOperator, at=None, start=None):
     """operator_norm_sq together with the last normalized iterate.
 
-    `start` replaces the seeded random start vector; a nearby top
-    eigenvector, such as the one returned for a neighbouring operator,
-    meets the stopping rule in fewer iterations.
+    `start` replaces the seeded start vector; a nearby top eigenvector,
+    such as the one returned for a neighbouring operator, meets the
+    stopping rule in fewer iterations.  A (B, n) `start` runs one
+    iteration per row, for an operator that takes (B, n) rows with one
+    operator per row: each row stops on its own rule, and from then on
+    its values are frozen, so it gets the values it would get alone.
+    Returns (float, vector) for a 1-d start, else ((B,), (B, n)).
     """
     if at is None:
         at = np.zeros(op.n)
     at = _as_vector(at, op.n, "linearization point")
-    if start is None:
-        x = np.random.default_rng(0).standard_normal(op.n)
-    else:
-        x = _as_vector(start, op.n, "start vector")
-    x = x / np.linalg.norm(x)
-    lam = 0.0
+    start = _as_rows(_power_start(op.n) if start is None else start, op.n, "start vector")
+    x = np.atleast_2d(start)
+    x = x / np.sqrt(_row_dots(x, x))[:, None]
+    lam = np.zeros(x.shape[0])
+    live = np.ones(x.shape[0], dtype=bool)
     for _ in range(200):
         z = op.derivative_adjoint_apply(at, op.derivative_apply(at, x))
-        lam_new = float(x @ z)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0, x
-        converged = abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1.0)
-        lam = lam_new
-        if converged:
+        lam_new = _row_dots(x, z)
+        nz = np.sqrt(_row_dots(z, z))
+        # a zero image gives lam_new = 0 and leaves x as it is
+        settled = np.abs(lam_new - lam) <= 1e-10 * np.maximum(np.abs(lam_new), 1.0)
+        lam = np.where(live, lam_new, lam)
+        live &= (nz != 0.0) & ~settled
+        if not live.any():
             break
-        x = z / nz
+        x[live] = z[live] / nz[live, None]
+    if start.ndim == 1:
+        return float(lam[0]), x[0]
     return lam, x
 
 

@@ -1,8 +1,9 @@
 """Weighted lq penalty: value, subgradients, prox, and Bregman distances.
 
 The penalty of a coefficient vector u is sum_i w_i*|u_i|^q with exponent
-1 <= q <= 2 and weights bounded away from zero.  All routines work on
-plain 1-d float arrays.
+1 <= q <= 2 and weights bounded away from zero.  The public routines work
+on plain 1-d float arrays; the solver kernels `_penalty_value` and
+`_prox_power` also take a (B, n) stack of rows, one solve per row.
 """
 
 from dataclasses import dataclass
@@ -75,16 +76,22 @@ def penalty_value(u, spec: PenaltySpec) -> float:
     return _penalty_value(_check_len(u, spec), spec)
 
 
-def _penalty_value(u: np.ndarray, spec: PenaltySpec) -> float:
+def _penalty_value(u: np.ndarray, spec: PenaltySpec):
     """penalty_value without the argument check, for solver loops.
 
-    ``u`` must already be a float array of length spec.n.
+    ``u`` must already be a float array of length spec.n, or a (B, spec.n)
+    stack of rows; a stack gets a (B,) array of values.  Each row's value
+    is a stacked dot product, bit-identical to the row's own.
     """
     if spec.q == 1.0:
-        return float(np.dot(spec.weights, np.abs(u)))
-    if spec.q == 2.0:
-        return float(np.dot(spec.weights, u * u))
-    return float(np.dot(spec.weights, np.abs(u) ** spec.q))
+        powers = np.abs(u)
+    elif spec.q == 2.0:
+        powers = u * u
+    else:
+        powers = np.abs(u) ** spec.q
+    if powers.ndim == 1:
+        return float(np.dot(spec.weights, powers))
+    return (powers[:, None, :] @ spec.weights[:, None])[:, 0, 0]
 
 
 def penalty_subgradient(u, spec: PenaltySpec) -> np.ndarray:
@@ -242,26 +249,36 @@ def prox(z, tau: float, spec: PenaltySpec) -> np.ndarray:
     return _prox_power(z, tau * spec.weights, spec.q)
 
 
-# The Newton loop below stops once no lane decreases: convergence is
-# quadratic, and a lane at its floating-point root is not lowered again.
-# That takes 5 to 12 passes for 1.001 <= q <= 1.999.  The cap is a safety
-# bound only, in case rounding lets some lane creep down an ulp per pass.
+# The Newton loop below stops a row once none of its lanes decreases:
+# convergence is quadratic, and a lane at its floating-point root is not
+# lowered again.  That takes 5 to 12 passes for 1.001 <= q <= 1.999.  The
+# cap is a safety bound only, in case rounding lets some lane creep down an
+# ulp per pass.
 _NEWTON_MAX_ITER = 100
+
+
+def _newton_step(y, a, c, r):
+    """One Newton step on g(y) = y^r + c*y - a, lane by lane."""
+    yr1 = y ** (r - 1.0)
+    return y - (yr1 * y + c * y - a) / (r * yr1 + c)
 
 
 def _prox_power(z, thresh, q):
     """Coefficientwise minimizer of x -> 0.5*(x - z_i)^2 + thresh_i*|x|^q.
 
-    ``z`` and ``thresh`` are 1-d float arrays of equal length, ``thresh``
-    nonnegative, ``1 <= q <= 2``.  For x >= 0 the stationarity equation
-    is x + c*x^(q-1) = |z| with c = q*thresh.  q = 1 and q = 2 are closed
-    forms, and so is q = 3/2 (Combettes & Pesquet 2007): there y = x^(1/2)
-    solves y^2 + c*y = |z|, whose root is taken in the cancellation-free
-    form y = 2|z| / (c + sqrt(c^2 + 4|z|)), and x = y^2; z = 0 with
-    thresh = 0 gives 0.  For other interior q the equation is solved in
-    y = x^(q-1): g(y) = y^r + c*y - |z| with r = 1/(q-1) is convex and
-    increasing, so Newton started from the upper bound
-    min(|z|/c, |z|^(q-1)) decreases monotonically onto the root.
+    ``z`` and ``thresh`` are float arrays of equal shape, a vector or a
+    (B, n) stack of rows, ``thresh`` nonnegative, ``1 <= q <= 2``.  For
+    x >= 0 the stationarity equation is x + c*x^(q-1) = |z| with
+    c = q*thresh.  q = 1 and q = 2 are closed forms, and so is q = 3/2
+    (Combettes & Pesquet 2007): there y = x^(1/2) solves y^2 + c*y = |z|,
+    whose root is taken in the cancellation-free form
+    y = 2|z| / (c + sqrt(c^2 + 4|z|)), and x = y^2; z = 0 with thresh = 0
+    gives 0.  For other interior q the equation is solved in y = x^(q-1):
+    g(y) = y^r + c*y - |z| with r = 1/(q-1) is convex and increasing, so
+    Newton started from the upper bound min(|z|/c, |z|^(q-1)) decreases
+    monotonically onto the root.  Each row of a stack leaves the Newton
+    loop after its own last pass, so it gets the passes, and the values,
+    it would get alone.
 
     For 1.001 <= q < 2, |z| in [1e-8, 1e6] and thresh in [1e-4, 1e2] the
     result x meets |x - x*| <= 1e-12*|x*| + 1e-300 against the exact root
@@ -289,10 +306,14 @@ def _prox_power(z, thresh, q):
     # at y = 0; fmin drops those nans and keeps such lanes at their bound
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.fmin(a / c, a ** (q - 1.0))
+        rows, a, c = np.atleast_2d(y), np.atleast_2d(a), np.atleast_2d(c)
+        live = np.arange(rows.shape[0])
         for _ in range(_NEWTON_MAX_ITER):
-            yr1 = y ** (r - 1.0)
-            y_new = y - (yr1 * y + c * y - a) / (r * yr1 + c)
-            if not (y_new < y).any():
+            y_live = rows[live]
+            y_new = _newton_step(y_live, a[live], c[live], r)
+            down = (y_new < y_live).any(axis=1)
+            live = live[down]
+            if not live.size:
                 break
-            y = np.fmin(y, y_new)
+            rows[live] = np.fmin(y_live[down], y_new[down])
     return np.sign(z) * y**r

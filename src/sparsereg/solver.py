@@ -6,14 +6,20 @@ forward-backward method kept monotone by restarts; the p = 1 linear path
 is a primal-dual iteration handling the nonsmooth data norm.  Both scale
 their primal steps per column by the same diagonal (Jacobi) metric.  The
 nonlinear path wraps the p = 2 solver in a damped Gauss-Newton outer loop.
+
+The p = 2 paths solve a batch of data rows at once, each row with its own
+configuration: one (B, m) stack and one loop, from which each row leaves
+when it stops.  Every reduction is a stacked per-row product, so each row
+is bit-identical to solving it alone; a single solve is a batch of one.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .operators import ForwardOperator, _power_iteration, make_dense_linear
+from .operators import ForwardOperator, _matvec, _power_iteration, _power_start, _row_dots
 from .penalty import PenaltySpec, _penalty_value, _prox_power, penalty_value
 
 __all__ = [
@@ -84,50 +90,85 @@ class SolveReport:
     objective_trace: list = field(repr=False, default_factory=list)
 
 
+# cap on the float64 entries of one nonlinear batch's Jacobian stack; a
+# larger batch runs in chunks of rows, which changes no row
+_JACOBIAN_STACK_ENTRIES = 1 << 22
+
+
+def _reports(op, data, spec, cfgs, x, iterations, converged, traces) -> list:
+    """One SolveReport per row of the (B, n) minimizers x."""
+    r = op.apply(x) - data
+    resid = np.sqrt(_row_dots(r, r)).tolist()
+    pen = _penalty_value(x, spec).tolist()
+    return [
+        SolveReport(
+            minimizer=x[b],
+            objective=resid[b] ** cfg.p + cfg.alpha * pen[b],
+            residual_norm=resid[b],
+            penalty_value=pen[b],
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            objective_trace=traces[b],
+        )
+        for b, cfg in enumerate(cfgs)
+    ]
+
+
 def _report(op, data, spec, cfg, u, iterations, converged, trace) -> SolveReport:
-    resid = float(np.linalg.norm(op.apply(u) - data))
-    pen = penalty_value(u, spec)
-    return SolveReport(
-        minimizer=u,
-        objective=resid**cfg.p + cfg.alpha * pen,
-        residual_norm=resid,
-        penalty_value=pen,
-        iterations=iterations,
-        converged=converged,
-        objective_trace=trace,
-    )
+    return _reports(op, data[None], spec, [cfg], u[None], [iterations], [converged], [trace])[0]
 
 
-def _check_linear(op: ForwardOperator, data, p_expected: int, cfg: SolverConfig):
+def _objective(u, image, data, alpha, spec):
+    """Per-row ||image - data||^2 + alpha*R(u) of (B, .) stacks."""
+    r = image - data
+    return _row_dots(r, r) + alpha * _penalty_value(u, spec)
+
+
+def _per_row(cfgs, *keys):
+    """The named SolverConfig fields, one (B,) array each."""
+    return [np.array([getattr(cfg, key) for cfg in cfgs]) for key in keys]
+
+
+def _check_data(op: ForwardOperator, data, spec: PenaltySpec) -> np.ndarray:
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 1 or data.size != op.m:
+        raise ValueError(f"expected data vector of length {op.m}, got shape {data.shape}")
+    if spec.n != op.n:
+        raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
+    return data
+
+
+def _check_linear(op: ForwardOperator, data, spec: PenaltySpec, p_expected: int, cfg):
     if not op.is_linear:
         raise ValueError("this solver handles linear operators only")
     if cfg.p != p_expected:
         raise ValueError(f"config requests p={cfg.p}, this solver handles p={p_expected}")
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1 or data.size != op.m:
-        raise ValueError(f"expected data vector of length {op.m}, got shape {data.shape}")
-    return data
+    return _check_data(op, data, spec)
 
 
 def _jacobi_metric(op: ForwardOperator, start=None):
     """Per-column scales t_j = 1/||K[:, j]||^2 and L = ||K T^(1/2)||^2.
 
     K is the linear operator `op` and T = diag(t), so L T^-1 majorizes
-    K^T K.  A zero column leaves its
-    coordinate out of the data term; it gets the largest scale of the
-    others, so its step stays finite and the prox alone drives it towards
-    zero.  `start` warm-starts the power iteration for L.  Returns
-    (t, L, top eigenvector of T^(1/2) K^T K T^(1/2)), or None when every
-    column is zero.
+    K^T K.  A zero column leaves its coordinate out of the data term; it
+    gets the largest scale of the others, so its step stays finite and the
+    prox alone drives it towards zero.  `start` warm-starts the power
+    iteration for L.  Returns (t, L, top eigenvector of
+    T^(1/2) K^T K T^(1/2), zero), where zero flags an operator whose every
+    column is zero; the solvers do not iterate on it, its t and L are
+    placeholders and its top is `start`.  A _JacobianStack gets one of
+    each per matrix, and needs a (B, n) `start`.
     """
     with np.errstate(divide="ignore"):
         t = 1.0 / op.column_norms_sq()
     coupled = np.isfinite(t)
-    if not coupled.any():
-        return None
-    t[~coupled] = t[coupled].max()
+    zero = ~coupled.any(axis=-1)
+    largest = np.where(coupled, t, 0.0).max(axis=-1, keepdims=True)
+    t = np.where(coupled, t, np.where(zero[..., None], 1.0, largest))
     lip, top = _power_iteration(_ColumnScaledOperator(op, np.sqrt(t)), start=start)
-    return t, lip, top
+    if start is not None:
+        top[zero] = start[zero]
+    return t, lip, top, zero
 
 
 def solve_linear_p2(
@@ -150,70 +191,155 @@ def solve_linear_p2(
     whenever it would increase the objective, falling back to a plain
     step, which keeps the recorded objective trace nonincreasing.
     """
-    data = _check_linear(op, data, 2, cfg)
+    data = _check_linear(op, data, spec, 2, cfg)
+    return _solve_p2(op, data[None], spec, [cfg], None if u0 is None else [u0])[0]
+
+
+def _solve_p2(op, data, spec, cfgs, u0=None) -> list:
+    """One SolveReport per row of the (B, m) data, row b solved with cfgs[b].
+
+    The batch form of solve_linear_p2 (linear op) and solve_nonlinear
+    (nonlinear op); `u0`, when given, holds one start per row.  Each
+    report is bit-identical to solving its row alone.  A nonlinear batch
+    runs in chunks of rows whose Jacobian stack keeps under
+    _JACOBIAN_STACK_ENTRIES entries.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.shape != (len(cfgs), op.m):
+        raise ValueError(f"expected {len(cfgs)} data rows of length {op.m}, got {data.shape}")
     if spec.n != op.n:
         raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
-    return _forward_backward_p2(op, data, spec, cfg, u0)[0]
+    if any(cfg.p != 2 for cfg in cfgs):
+        raise ValueError("the p = 2 solvers need p = 2 in every config")
+    u0 = None if u0 is None else np.array(u0, dtype=np.float64)
+    if op.is_linear:
+        return _reports(op, data, spec, cfgs, *_forward_backward_p2(op, data, spec, cfgs, u0)[:4])
+    chunk = max(1, _JACOBIAN_STACK_ENTRIES // (op.m * op.n))
+    reports = []
+    for lo in range(0, len(cfgs), chunk):
+        rows = slice(lo, lo + chunk)
+        reports += _gauss_newton(op, data[rows], spec, cfgs[rows], None if u0 is None else u0[rows])
+    return reports
 
 
-def _forward_backward_p2(op, data, spec, cfg, u0, start=None):
-    """solve_linear_p2 on checked inputs, with the metric's warm start.
+class _LiveRows(NamedTuple):
+    """What the forward-backward step needs of the rows still iterating."""
 
-    Returns the report and the top eigenvector of the metric's power
-    iteration, which warm-starts it for a nearby operator.  The loop
+    op: ForwardOperator
+    data: np.ndarray
+    step: np.ndarray
+    thresh: np.ndarray
+    alpha: np.ndarray
+    tol: np.ndarray
+    max_iter: np.ndarray
+
+    def take(self, keep, in_place=False) -> "_LiveRows":
+        return _LiveRows(self.op._rows(keep, in_place), *(v[keep] for v in self[1:]))
+
+
+def _kept_rows(done):
+    """Indices of the rows not done, in the order that compacts cheaply.
+
+    Of the k rows left, those among the first k keep their positions and
+    the ones beyond fill the gaps, so compacting a stack in place moves
+    one row per gap instead of every row after the first gap.
+    """
+    keep = np.flatnonzero(~done)
+    order = np.arange(keep.size)
+    order[np.flatnonzero(done[: keep.size])] = keep[keep >= keep.size]
+    return order
+
+
+def _forward_backward_p2(op, data, spec, cfgs, u0=None, start=None, traced=True):
+    """solve_linear_p2 on checked (B, m) data, one config per row.
+
+    `op` takes (B, n) rows: one linear operator shared by every row, whose
+    metric is computed once, or a _JacobianStack with one matrix per row,
+    which the loop compacts in place as rows stop.  Each row has its own
+    momentum, restarts, stopping test, iteration count and objective
+    trace, and leaves the working set when it stops.  Returns the (B, n)
+    minimizers, iteration counts, convergence flags and objective traces
+    (None unless traced), and the top eigenvectors of the metric's power
+    iteration, which warm-start it for a nearby operator.  The loop
     carries the image K u of each iterate next to it: since K is linear,
     the extrapolated point's image is the same combination of the images,
     so each forward-backward step makes one apply (of its result, which
     the objective reuses) and one adjoint apply.
     """
-    x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
-
-    def objective(u, image):
-        r = image - data
-        return float(r @ r) + cfg.alpha * _penalty_value(u, spec)
-
+    rows, n = data.shape[0], op.n
+    alpha, tol, max_iter, safety = _per_row(cfgs, "alpha", "tol", "max_iter", "step_safety")
+    x = np.zeros((rows, n)) if u0 is None else u0.copy()
     x_image = op.apply(x)
-    obj = objective(x, x_image)
-    trace = [obj]
-    metric = _jacobi_metric(op, start)
-    if metric is None:
-        # zero operator: the penalty alone drives every coefficient to zero
-        zero = np.zeros(op.n)
-        trace.append(objective(zero, op.apply(zero)))
-        return _report(op, data, spec, cfg, zero, 0, True, trace), start
-    t, lip, top = metric
-    step = (cfg.step_safety / lip) * t
-    thresh = step * (cfg.alpha / 2.0) * spec.weights
+    obj = _objective(x, x_image, data, alpha, spec)
+    traces = [[value] for value in obj.tolist()] if traced else None
+    out = np.zeros((rows, n))
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    t, lip, top, zero = _jacobi_metric(op, start)
+    lip, zero = np.broadcast_to(lip, (rows,)), np.broadcast_to(zero, (rows,))
+    # zero operator: the penalty alone drives every coefficient to zero
+    dead = np.flatnonzero(zero)
+    converged[dead] = True
+    if dead.size and traced:
+        zeros = np.zeros((dead.size, n))
+        final = _objective(zeros, op._rows(dead).apply(zeros), data[dead], alpha[dead], spec)
+        for b, value in zip(dead.tolist(), final.tolist()):
+            traces[b].append(value)
+    live = np.flatnonzero(~zero)
+    step = (safety[live] / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
+    part = _LiveRows(
+        op._rows(live, in_place=True),
+        data[live],
+        step,
+        step * (alpha[live] / 2.0)[:, None] * spec.weights,
+        alpha[live],
+        tol[live],
+        max_iter[live],
+    )
 
-    def forward_backward(u, image):
-        grad = op.derivative_adjoint_apply(u, image - data)
-        out = _prox_power(u - step * grad, thresh, spec.q)
-        out_image = op.apply(out)
-        return out, out_image, objective(out, out_image)
+    def forward_backward(part, u, image):
+        grad = part.op.derivative_adjoint_apply(u, image - part.data)
+        nxt = _prox_power(u - part.step * grad, part.thresh, spec.q)
+        nxt_image = part.op.apply(nxt)
+        return nxt, nxt_image, _objective(nxt, nxt_image, part.data, part.alpha, spec)
 
+    x, x_image, obj = x[live], x_image[live], obj[live]
     y, y_image = x, x_image
-    momentum = 1.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, cfg.max_iter + 1):
-        cand, cand_image, cand_obj = forward_backward(y, y_image)
-        if cand_obj > obj:
+    momentum = np.ones(live.size)
+    iteration = 0
+    while live.size:
+        iteration += 1
+        cand, cand_image, cand_obj = forward_backward(part, y, y_image)
+        back = np.flatnonzero(cand_obj > obj)
+        if back.size:
             # restart: the plain step from x cannot increase the objective
-            momentum = 1.0
-            cand, cand_image, cand_obj = forward_backward(x, x_image)
-            if cand_obj > obj:
-                cand, cand_image, cand_obj = x, x_image, obj
+            momentum[back] = 1.0
+            cand[back], cand_image[back], cand_obj[back] = forward_backward(
+                part.take(back), x[back], x_image[back]
+            )
+            stuck = back[cand_obj[back] > obj[back]]
+            cand[stuck], cand_image[stuck], cand_obj[stuck] = x[stuck], x_image[stuck], obj[stuck]
         momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        beta = (momentum - 1.0) / momentum_next
+        beta = ((momentum - 1.0) / momentum_next)[:, None]
         y = cand + beta * (cand - x)
         y_image = cand_image + beta * (cand_image - x_image)
-        shift = float(np.linalg.norm(cand - x))
+        shift = cand - x
+        shift = np.sqrt(_row_dots(shift, shift))
         x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
-        trace.append(obj)
-        if shift <= cfg.tol * (1.0 + float(np.linalg.norm(x))):
-            converged = True
-            break
-    return _report(op, data, spec, cfg, x, iterations, converged, trace), top
+        if traced:
+            for b, value in zip(live.tolist(), obj.tolist()):
+                traces[b].append(value)
+        stop = shift <= part.tol * (1.0 + np.sqrt(_row_dots(x, x)))
+        done = stop | (iteration >= part.max_iter)
+        if done.any():
+            ended = live[done]
+            out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
+            keep = _kept_rows(done)
+            live, part = live[keep], part.take(keep, in_place=True)
+            x, x_image, y, y_image, obj, momentum = (
+                v[keep] for v in (x, x_image, y, y_image, obj, momentum)
+            )
+    return out, iterations, converged, traces, top
 
 
 def solve_linear_p1(
@@ -236,23 +362,25 @@ def solve_linear_p1(
     below 1 for s < 1.  A zero column leaves its coordinate out of the
     data term, so any step is admissible there; it gets the largest step
     of the others and the prox alone drives it towards zero.  Stops when
-    both iterates change less than tol in relative terms.
+    both iterates change less than tol in relative terms.  One data vector
+    per call: the p = 1 iteration is not batched.
     """
-    data = _check_linear(op, data, 1, cfg)
-    if spec.n != op.n:
-        raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
+    data = _check_linear(op, data, spec, 1, cfg)
 
     def objective(u):
         return float(np.linalg.norm(op.apply(u) - data)) + cfg.alpha * penalty_value(u, spec)
 
+    def norm(v):
+        # np.linalg.norm of a real vector is sqrt(v @ v), without its overhead
+        return math.sqrt(float(v @ v))
+
     x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     trace = [objective(x)]
-    metric = _jacobi_metric(op)
-    if metric is None:
+    t, lip, _, zero = _jacobi_metric(op)
+    if zero:
         # zero operator: the penalty alone drives every coefficient to zero
-        zero = np.zeros(op.n)
-        return _report(op, data, spec, cfg, zero, 0, True, trace + [objective(zero)])
-    t, lip, _ = metric
+        u = np.zeros(op.n)
+        return _report(op, data, spec, cfg, u, 0, True, trace + [objective(u)])
     sigma = cfg.step_safety / np.sqrt(lip)
     tau = sigma * t
     thresh = tau * cfg.alpha * spec.weights
@@ -262,17 +390,15 @@ def solve_linear_p1(
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
         y_next = y + sigma * (op.apply(x_bar) - data)
-        norm_y = float(np.linalg.norm(y_next))
+        norm_y = norm(y_next)
         if norm_y > 1.0:
             y_next = y_next / norm_y
         x_next = _prox_power(x - tau * op.derivative_adjoint_apply(x, y_next), thresh, spec.q)
         x_bar = 2.0 * x_next - x
-        primal_shift = float(np.linalg.norm(x_next - x))
-        dual_shift = float(np.linalg.norm(y_next - y))
+        primal_shift = norm(x_next - x)
+        dual_shift = norm(y_next - y)
         x, y = x_next, y_next
-        if primal_shift <= cfg.tol * (1.0 + float(np.linalg.norm(x))) and dual_shift <= cfg.tol * (
-            1.0 + float(np.linalg.norm(y))
-        ):
+        if primal_shift <= cfg.tol * (1.0 + norm(x)) and dual_shift <= cfg.tol * (1.0 + norm(y)):
             converged = True
             break
     report = _report(op, data, spec, cfg, x, iterations, converged, trace)
@@ -281,7 +407,10 @@ def solve_linear_p1(
 
 
 class _ColumnScaledOperator(ForwardOperator):
-    """Linear operator K diag(scale): K with column j multiplied by scale_j."""
+    """Linear operator K diag(scale): K with column j multiplied by scale_j.
+
+    A (B, n) scale holds the scales of each operator of a stack.
+    """
 
     def __init__(self, op: ForwardOperator, scale: np.ndarray):
         self._op = op
@@ -298,6 +427,38 @@ class _ColumnScaledOperator(ForwardOperator):
 
     def derivative_adjoint_apply(self, u, y):
         return self._scale * self._op.derivative_adjoint_apply(u, y)
+
+
+class _JacobianStack(ForwardOperator):
+    """Linear operators K_b stored as a (B, m, n) stack, one per batch row.
+
+    Row b of a (B, n) input goes through K_b; each product is the stacked
+    matrix-vector product of operators._matvec, bit-identical to K_b's own.
+    """
+
+    def __init__(self, matrices: np.ndarray):
+        self.matrices = matrices
+        self._m, self._n = matrices.shape[1:]
+        self._linear = True
+
+    def apply(self, u):
+        return _matvec(self.matrices, u)
+
+    def derivative_apply(self, u, h):
+        return _matvec(self.matrices, h)
+
+    def derivative_adjoint_apply(self, u, y):
+        return _matvec(self.matrices.transpose(0, 2, 1), y)
+
+    def column_norms_sq(self, at=None):
+        return np.einsum("bij,bij->bj", self.matrices, self.matrices)
+
+    def _rows(self, keep, in_place=False):
+        if not in_place:
+            return _JacobianStack(self.matrices[keep])
+        moved = np.flatnonzero(keep != np.arange(keep.size))
+        self.matrices[moved] = self.matrices[keep[moved]]
+        return _JacobianStack(self.matrices[: keep.size])
 
 
 def solve_nonlinear(
@@ -320,50 +481,85 @@ def solve_nonlinear(
     """
     if cfg.p != 2:
         raise ValueError("the nonlinear path supports p = 2 only")
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1 or data.size != op.m:
-        raise ValueError(f"expected data vector of length {op.m}, got shape {data.shape}")
-    if spec.n != op.n:
-        raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
-    inner_cfg = SolverConfig(
-        p=2,
-        alpha=cfg.alpha,
-        max_iter=cfg.inner_max_iter if cfg.inner_max_iter is not None else cfg.max_iter,
-        tol=cfg.inner_tol if cfg.inner_tol is not None else cfg.tol,
-        step_safety=cfg.step_safety,
-    )
+    data = _check_data(op, data, spec)
+    u0 = None if u0 is None else np.asarray(u0, dtype=np.float64)[None]
+    return _gauss_newton(op, data[None], spec, [cfg], u0)[0]
 
-    def objective(u):
-        r = op.apply(u) - data
-        return float(r @ r) + cfg.alpha * penalty_value(u, spec)
 
-    u = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
-    obj = objective(u)
-    trace = [obj]
-    top = None
-    iterations = 0
-    converged = False
-    for iterations in range(1, cfg.max_iter + 1):
-        linear = make_dense_linear(op.derivative_columns(u, range(op.n)))
-        shifted_data = data - op.apply(u) + linear.apply(u)
-        inner, top = _forward_backward_p2(linear, shifted_data, spec, inner_cfg, u, top)
-        step = inner.minimizer - u
-        cand = u + step
-        cand_obj = objective(cand)
-        halvings = 0
-        while cand_obj > obj and halvings < 20:
-            step *= 0.5
-            cand = u + step
-            cand_obj = objective(cand)
-            halvings += 1
-        if cand_obj > obj:
-            # no descent direction left at this linearization: stop here
-            converged = True
-            break
-        shift = float(np.linalg.norm(cand - u))
-        u, obj = cand, cand_obj
-        trace.append(obj)
-        if shift <= cfg.tol * (1.0 + float(np.linalg.norm(u))):
-            converged = True
-            break
-    return _report(op, data, spec, cfg, u, iterations, converged, trace)
+def _linearize(op, base, data):
+    """The Jacobians of F at the (B, n) rows of base, and the data of the
+    linearized problems, v - F(u) + F'(u) u per row."""
+    jacobians = np.empty((base.shape[0], op.m, op.n))
+    for jacobian, u in zip(jacobians, base):
+        jacobian[...] = op.derivative_columns(u, range(op.n))
+    if not np.all(np.isfinite(jacobians)):
+        raise ValueError("matrix entries must be finite")
+    linear = _JacobianStack(jacobians)
+    return linear, data - op.apply(base) + linear.apply(base)
+
+
+def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
+    """solve_nonlinear on checked (B, m) data, one config per row.
+
+    The rows take their Gauss-Newton steps in lockstep: each step stacks
+    the rows' Jacobians into one _JacobianStack, solves every linearized
+    problem in one batched inner solve, and halves each row's step on its
+    own.  A row leaves the batch when it stops.
+    """
+    rows, n = data.shape[0], op.n
+    inner = [
+        replace(cfg, max_iter=cfg.inner_max_iter or cfg.max_iter, tol=cfg.inner_tol or cfg.tol)
+        for cfg in cfgs
+    ]
+    alpha, tol, max_iter = _per_row(cfgs, "alpha", "tol", "max_iter")
+
+    def objective(live, u):
+        return _objective(u, op.apply(u), data[live], alpha[live], spec)
+
+    u = np.zeros((rows, n)) if u0 is None else u0.copy()
+    live = np.arange(rows)
+    obj = objective(live, u)
+    traces = [[value] for value in obj.tolist()]
+    # normalizing the seeded vector is the power iteration's own cold start
+    top = np.tile(_power_start(n), (rows, 1))
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    iteration = 0
+    while live.size:
+        iteration += 1
+        base = u[live]
+        # the Jacobian stack is passed on, not kept, so it is freed before
+        # the next step allocates its own
+        x, *_, top[live] = _forward_backward_p2(
+            *_linearize(op, base, data[live]),
+            spec,
+            [inner[b] for b in live],
+            base,
+            top[live],
+            traced=False,
+        )
+        step = x - base
+        cand = base + step
+        cand_obj = objective(live, cand)
+        halvings = np.zeros(live.size, dtype=np.int64)
+        while True:
+            damp = np.flatnonzero((cand_obj > obj[live]) & (halvings < 20))
+            if not damp.size:
+                break
+            step[damp] *= 0.5
+            cand[damp] = base[damp] + step[damp]
+            cand_obj[damp] = objective(live[damp], cand[damp])
+            halvings[damp] += 1
+        # no descent direction left at its linearization: the row stops
+        stuck = cand_obj > obj[live]
+        shift = cand - base
+        shift = np.sqrt(_row_dots(shift, shift))
+        moved = live[~stuck]
+        u[moved], obj[moved] = cand[~stuck], cand_obj[~stuck]
+        for b, value in zip(moved.tolist(), cand_obj[~stuck].tolist()):
+            traces[b].append(value)
+        now = u[live]
+        stop = stuck | (shift <= tol[live] * (1.0 + np.sqrt(_row_dots(now, now))))
+        iterations[live], converged[live] = iteration, stop
+        live = live[~stop & (iteration < max_iter[live])]
+    return _reports(op, data, spec, cfgs, u, iterations, converged, traces)

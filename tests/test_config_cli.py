@@ -148,6 +148,30 @@ def test_cli_sweep_too_few_levels_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("sweep", "c_alpha = nan"),
+        ("sweep", "delta_max = inf"),
+        ("sweep", "delta_min = nan"),
+        ("solver", "tol = nan"),
+    ],
+)
+def test_cli_non_finite_value_is_config_error(tmp_path, capsys, section, line):
+    # such values parse as floats; they must fail at config time, naming
+    # the key, not later inside a solve
+    name = line.split()[0]
+    rows = [row for row in SWEEP_CFG.splitlines() if not row.startswith(f"{name} ")]
+    if f"[{section}]" not in rows:
+        rows.append(f"[{section}]")
+    rows.insert(rows.index(f"[{section}]") + 1, line)
+    cfg = _write(tmp_path / "bad.cfg", "\n".join(rows) + "\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{name}" in err and "must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_square_kinds_reject_m(tmp_path, capsys):
     exact = Path("configs/p1_exact.cfg").read_text()
     for kind in ("diagonal", "convolution"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsereg import experiments
 from sparsereg.analysis import check_source_condition, estimate_rate_constants
 from sparsereg.experiments import (
     CSV_HEADER,
@@ -13,6 +14,7 @@ from sparsereg.experiments import (
     generate_problem,
     generate_source_problem,
     run_sweep,
+    solve_instance,
     write_rate_json,
     write_sweep_csv,
 )
@@ -168,6 +170,34 @@ def test_run_sweep_determinism():
         assert row_a.error_norm == row_b.error_norm
         assert row_a.residual_norm == row_b.residual_norm
     assert a.rate.slope == b.rate.slope
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "toy-nonlinear"])
+def test_run_sweep_solves_every_cell_in_one_batch(kind, monkeypatch):
+    # p = 2 cells are the rows of one batched solve, and each row equals
+    # solving its cell alone, bit for bit
+    inst = generate_problem(kind, 24, m=24 if kind == "diagonal" else 30, sparsity=3,
+                            q=1.5, p=2, seed=4, positions=(0, 4, 9))
+    deltas = np.logspace(-1, -3, 4)
+    batches = []
+    real = experiments._solve_p2
+
+    def counting(op, data, spec, cfgs):
+        batches.append(len(cfgs))
+        return real(op, data, spec, cfgs)
+
+    monkeypatch.setattr(experiments, "_solve_p2", counting)
+    result = run_sweep(inst, deltas, 1.0, 3, seed=5, solver_tol=1e-9)
+    assert batches == [12]
+    monkeypatch.setattr(experiments, "_solve_p2", real)
+    for k, row in enumerate(result.rows):
+        level, trial = divmod(k, 3)
+        assert (row.delta, row.trial) == (deltas[level], trial)
+        noisy = add_noise(inst.clean_data, row.delta, np.random.SeedSequence([5, level, trial]))
+        alone = solve_instance(inst, noisy, row.alpha, min(1e-9, 1e-4 * row.delta))
+        assert row.error_norm == float(np.linalg.norm(alone.minimizer - inst.u_dagger))
+        assert row.residual_norm == alone.residual_norm
+        assert (row.iterations, row.converged) == (alone.iterations, alone.converged)
 
 
 def test_run_sweep_validation():

@@ -321,3 +321,31 @@ def test_length_mismatch_rejected():
         penalty_value(np.zeros(4), spec)
     with pytest.raises(ValueError):
         prox(np.zeros(2), 1.0, spec)
+
+
+def test_prox_newton_stops_each_row_on_its_own(monkeypatch):
+    # a stack of rows takes each row through exactly the Newton passes it
+    # takes alone, and returns each row bit for bit as alone
+    passes = []
+    real = penalty._newton_step
+
+    def counting(y, a, c, r):
+        passes.append(y.shape[0])
+        return real(y, a, c, r)
+
+    monkeypatch.setattr(penalty, "_newton_step", counting)
+    q = 1.3
+    easy = np.full(8, 1e-3)  # |z| tiny against the threshold: few passes
+    hard = np.geomspace(1e-6, 1e6, 8)  # a spread of scales: more passes
+    thresh = np.stack([np.full(8, 1e2), np.full(8, 1e-3)])
+    alone = []
+    for z, t in zip((easy, hard), thresh):
+        passes.clear()
+        alone.append((penalty._prox_power(z, t, q), len(passes)))
+    assert alone[0][1] < alone[1][1]
+    passes.clear()
+    stacked = penalty._prox_power(np.stack([easy, hard]), thresh, q)
+    # rows processed over all passes: each row only in its own passes
+    assert sum(passes) == alone[0][1] + alone[1][1]
+    for row, (want, _) in zip(stacked, alone):
+        assert row.tobytes() == want.tobytes()

@@ -493,3 +493,107 @@ def test_nonlinear_rejects_p1():
     spec = PenaltySpec.uniform(1.0, 1.0, 3)
     with pytest.raises(ValueError):
         solve_nonlinear(op, np.zeros(4), spec, SolverConfig(p=1, alpha=0.1))
+
+
+# --- batched p = 2 solves: every row as if solved alone --------------------
+
+
+def _same_report(got, want):
+    # bit for bit: the minimizer's bytes, and == on every float
+    assert got.minimizer.tobytes() == want.minimizer.tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.objective_trace == want.objective_trace
+    assert (got.objective, got.residual_norm, got.penalty_value) == (
+        want.objective,
+        want.residual_norm,
+        want.penalty_value,
+    )
+
+
+def _batch_operator(kind, rng):
+    if kind == "diagonal":
+        return make_diagonal_linear((np.arange(24) + 1.0) ** -1.0)
+    if kind == "convolution":
+        return make_convolution_linear(np.array([0.25, 0.5, 0.25]), 24)
+    if kind == "dense":
+        return make_dense_linear(rng.standard_normal((24, 16)))
+    return make_toy_nonlinear(rng.standard_normal((30, 20)), rng.standard_normal((30, 20)), 0.05)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.3, 1.5, 2.0])
+@pytest.mark.parametrize("kind", ["diagonal", "convolution", "dense", "toy"])
+def test_batched_p2_rows_match_single_solves(kind, q):
+    # rows with different alpha, tol and max_iter stop after different
+    # numbers of iterations (and restarts), one at its iteration cap; each
+    # must equal its own single solve
+    rng = np.random.default_rng(11)
+    op = _batch_operator(kind, rng)
+    u_ref = np.zeros(op.n)
+    u_ref[[1, 5, 9]] = [1.0, -0.8, 0.6]
+    spec = PenaltySpec.uniform(q, 1.0, op.n)
+    data = op.apply(u_ref) + 1e-2 * rng.standard_normal((5, op.m))
+    cfgs = [
+        SolverConfig(p=2, alpha=alpha, tol=tol, max_iter=max_iter)
+        for alpha, tol, max_iter in (
+            (1e-2, 1e-10, 50000),
+            (3e-2, 1e-6, 50000),
+            (5e-3, 1e-8, 50000),
+            (0.2, 1e-12, 50000),
+            (1e-2, 1e-12, 3),
+        )
+    ]
+    batch = solver._solve_p2(op, data, spec, cfgs)
+    single = solve_nonlinear if kind == "toy" else solve_linear_p2
+    alone = [single(op, row, spec, cfg) for row, cfg in zip(data, cfgs)]
+    assert len({report.iterations for report in alone}) > 1
+    assert not alone[-1].converged
+    for got, want in zip(batch, alone):
+        _same_report(got, want)
+
+
+def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
+    rng = np.random.default_rng(12)
+    op = _batch_operator("toy", rng)
+    spec = PenaltySpec.uniform(1.5, 1.0, op.n)
+    data = rng.standard_normal((5, op.m))
+    cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.02, 0.3, 0.05, 0.01)]
+    whole = solver._solve_p2(op, data, spec, cfgs)
+    chunks = []
+    real = solver._gauss_newton
+
+    def counting(op, data, *args):
+        chunks.append(data.shape[0])
+        return real(op, data, *args)
+
+    monkeypatch.setattr(solver, "_gauss_newton", counting)
+    # room for the Jacobians of two rows per chunk
+    monkeypatch.setattr(solver, "_JACOBIAN_STACK_ENTRIES", 2 * op.m * op.n + 1)
+    chunked = solver._solve_p2(op, data, spec, cfgs)
+    assert chunks == [2, 2, 1]
+    for got, want in zip(chunked, whole):
+        _same_report(got, want)
+
+
+def test_batched_zero_jacobian_row_matches_single():
+    # a row whose Jacobian is zero takes the zero-operator exit; the rows
+    # around it iterate as if it were not there
+    rng = np.random.default_rng(13)
+    mats = np.array([rng.standard_normal((10, 6)), np.zeros((10, 6)), rng.standard_normal((10, 6))])
+    spec = PenaltySpec.uniform(1.5, 1.0, 6)
+    data = rng.standard_normal((3, 10))
+    cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.2, 0.05)]
+    start = rng.standard_normal((3, 6))
+    # the loop compacts a stack in place, so each call gets its own copy
+    stack = solver._JacobianStack(mats.copy())
+    got = solver._forward_backward_p2(stack, data, spec, cfgs, None, start)
+    assert got[1][1] == 0 and got[2][1] and not got[0][1].any()
+    assert got[4][1].tobytes() == start[1].tobytes()
+    for b in range(3):
+        want = solver._forward_backward_p2(
+            solver._JacobianStack(mats[b : b + 1].copy()), data[b : b + 1], spec, cfgs[b : b + 1],
+            None, start[b : b + 1],
+        )
+        assert got[0][b].tobytes() == want[0][0].tobytes()
+        assert (got[1][b], got[2][b], got[3][b]) == (want[1][0], want[2][0], want[3][0])
+        assert got[4][b].tobytes() == want[4][0].tobytes()
