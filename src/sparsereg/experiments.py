@@ -136,7 +136,8 @@ def _draw_reference(rng, n: int, sparsity: int, positions=None) -> np.ndarray:
                 raise ValueError(
                     f"positions must list exactly sparsity={sparsity} indices"
                 )
-            if np.unique(positions).size != positions.size:
+            # a set, not np.unique: np.unique imports numpy.ma on every run
+            if len(set(positions.tolist())) != positions.size:
                 raise ValueError("positions must not repeat")
             if positions.size and (positions.min() < 0 or positions.max() >= n):
                 raise ValueError(f"positions must lie in [0, {n})")

@@ -1,11 +1,15 @@
 """Condition certificates, rate constants, and theoretical bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from sparsereg import analysis
 from sparsereg.analysis import (
     RateConstants,
+    ValidationReport,
     check_source_condition,
     check_sparse_rate_conditions,
     check_support_injectivity,
@@ -22,7 +26,7 @@ from sparsereg.operators import (
     make_diagonal_linear,
     make_toy_nonlinear,
 )
-from sparsereg.penalty import PenaltySpec, penalty_subgradient
+from sparsereg.penalty import PenaltySpec, penalty_subgradient, penalty_value
 
 
 class _CountingOperator(ForwardOperator):
@@ -324,10 +328,134 @@ def test_constants_validation_catches_inflation():
         residual_radius=constants.residual_radius,
     )
     report = validate_rate_inequality(op, u, spec, inflated, n_samples=1000, radius=0.1)
-    assert report.n_violations > 0
+    # every sample violates; the count is not capped by the ten kept
+    assert report.n_in_region == 1000
+    assert report.n_violations == 1000
+    assert len(report.violations) == 10
+    assert [i for i, _ in report.violations] == list(range(10))
     assert report.worst_slack < 0.0
+    assert not report.passed
     # the honest certified constants validate at the same radius
     assert constants.validated
+
+
+def test_validation_without_in_region_sample_fails():
+    # a region that no sample reaches checks nothing, so it must not pass
+    op = make_dense_linear(np.eye(8))
+    spec = PenaltySpec.uniform(2.0, 1.0, 8)
+    u = np.zeros(8)
+    tiny = RateConstants(
+        norm_coeff=0.5, residual_coeff=0.0, exponent=2.0,
+        penalty_radius=1e-12, residual_radius=np.inf,
+    )
+    report = validate_rate_inequality(op, u, spec, tiny)
+    assert report.n_in_region == 0
+    assert report.n_violations == 0
+    assert report.worst_slack == np.inf
+    assert not report.passed
+    assert report.to_dict()["passed"] is False
+    # the quadratic construction's region ends one weight above the
+    # reference penalty, which no sample at radius 10 stays below
+    spec = PenaltySpec.uniform(1.5, 1.0, 8)
+    u = np.full(8, 0.5)
+    cert = check_source_condition(op, u, spec)
+    with pytest.raises(ValueError, match="none of the 1000 samples"):
+        estimate_rate_constants(op, u, spec, cert, 2.0, radius=10.0)
+
+
+def _validate_one_at_a_time(op, u_dagger, spec, constants, n_samples, radius, seed):
+    """Oracle for validate_rate_inequality: draw and check one sample at a time."""
+    ref_penalty = penalty_value(u_dagger, spec)
+    ref_data = op.apply(u_dagger)
+    rng = np.random.default_rng(seed)
+    checked = 0
+    n_violations = 0
+    violations = []
+    worst = np.inf
+    for index in range(n_samples):
+        direction = rng.standard_normal(op.n)
+        direction /= np.linalg.norm(direction)
+        u = u_dagger + radius * direction
+        pen = penalty_value(u, spec)
+        data_shift = float(np.linalg.norm(op.apply(u) - ref_data))
+        if pen >= constants.penalty_radius or data_shift >= constants.residual_radius:
+            continue
+        checked += 1
+        slack = (
+            pen
+            - ref_penalty
+            - constants.norm_coeff * radius**constants.exponent
+            + constants.residual_coeff * data_shift
+        )
+        worst = min(worst, slack)
+        if slack < -1e-9:
+            n_violations += 1
+            if len(violations) < 10:
+                violations.append((index, slack))
+    return ValidationReport(
+        n_samples=n_samples,
+        n_in_region=checked,
+        n_violations=n_violations,
+        worst_slack=float(worst) if checked else np.inf,
+        violations=tuple(violations),
+    )
+
+
+def _linearization_one_at_a_time(op, u_dagger, spec, n_samples, radius, seed):
+    """Oracle for the sampled linearization fit: (passed, data_shift_coeff)."""
+    rng = np.random.default_rng(seed)
+    ref_data = op.apply(u_dagger)
+    ref_penalty = penalty_value(u_dagger, spec)
+    needed = 0.0
+    finite = True
+    for _ in range(n_samples):
+        direction = rng.standard_normal(op.n)
+        direction /= np.linalg.norm(direction)
+        u = u_dagger + radius * direction
+        gap = penalty_value(u, spec) - ref_penalty
+        shifted = op.apply(u) - ref_data
+        lin_err = float(np.linalg.norm(shifted - op.derivative_apply(u_dagger, u - u_dagger)))
+        data_shift = float(np.linalg.norm(shifted))
+        if data_shift <= 0.0:
+            if gap < lin_err - 1e-12:
+                finite = False
+            continue
+        needed = max(needed, (lin_err - gap) / data_shift)
+    return finite, max(needed, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, q, exponent, n_samples, stressed",
+    [
+        # 2-row chunks; the stressed constants leave some samples outside
+        # the region and make about half of the rest violate
+        (2048, 1.0, 1.0, 1000, {"norm_coeff": 36.0, "residual_coeff": 0.0,
+                                 "penalty_radius": 6.55}),
+        # 64-row chunks, with a partial last chunk at 333 samples
+        (64, 1.5, 1.5, 1000, {"norm_coeff": 1.6, "residual_coeff": 0.0,
+                               "penalty_radius": 3.0}),
+        (64, 1.5, 1.5, 333, {"norm_coeff": 1.6, "residual_coeff": 0.0,
+                              "penalty_radius": 3.0}),
+    ],
+)
+def test_validation_bit_identical_to_one_sample_at_a_time(n, q, exponent, n_samples, stressed):
+    op = make_diagonal_linear((np.arange(n) + 1.0) ** -1.0)
+    spec = PenaltySpec.uniform(q, 1.0, n)
+    u = np.zeros(n)
+    u[[0, 3, 8]] = [1.0, -0.7, 1.2]
+    cert = check_source_condition(op, u, spec)
+    honest = estimate_rate_constants(op, u, spec, cert, exponent, validate=False)
+    fields = honest.to_dict()
+    fields.update(stressed)
+    for constants in (honest, RateConstants(**fields)):
+        for seed in (0, 5):
+            report = validate_rate_inequality(
+                op, u, spec, constants, n_samples=n_samples, radius=0.1, seed=seed
+            )
+            oracle = _validate_one_at_a_time(op, u, spec, constants, n_samples, 0.1, seed)
+            assert report == oracle
+    # the stressed constants reach the region filter and the violation cap
+    assert 10 < report.n_violations < report.n_in_region < n_samples
 
 
 def test_constants_exponent_dispatch_errors():
@@ -454,3 +582,98 @@ def test_sparse_conditions_nonlinear_sampled():
     assert entry["passed"]
     assert np.isfinite(entry["data_shift_coeff"])
     assert entry["linearization_coeff"] == 1.0
+
+
+@pytest.mark.parametrize("n_samples", [1000, 333])
+def test_sparse_conditions_nonlinear_bit_identical(n_samples):
+    # the toy operator's samples run in chunks of 170 rows (m = 24), the
+    # last one partial
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((24, 16)) / np.sqrt(24)
+    b = rng.standard_normal((24, 16)) / np.sqrt(24)
+    spec = PenaltySpec.uniform(1.5, 1.0, 16)
+    u = np.zeros(16)
+    u[[2, 7, 11]] = [1.0, -0.8, 0.6]
+    for eps in (1e-3, 0.5):
+        op = make_toy_nonlinear(a, b, eps)
+        cert = check_source_condition(op, u, spec)
+        for seed in (0, 4):
+            report = check_sparse_rate_conditions(
+                op, u, spec, cert, n_samples=n_samples, radius=0.1, seed=seed
+            )
+            entry = report["linearization_inequality"]
+            oracle = _linearization_one_at_a_time(op, u, spec, n_samples, 0.1, seed)
+            assert (entry["passed"], entry["data_shift_coeff"]) == oracle
+            assert entry["data_shift_coeff"] > 1e-12
+
+
+def test_sparse_conditions_nonlinear_unmoved_data():
+    # F = 0 leaves every sample's data unmoved, so only the penalty gap can
+    # cover the linearization error; samples where it falls short fail
+    zero = np.zeros((24, 16))
+    op = make_toy_nonlinear(zero, zero, 1.0)
+    spec = PenaltySpec.uniform(1.5, 1.0, 16)
+    u = np.zeros(16)
+    u[[2, 7, 11]] = [1.0, -0.8, 0.6]
+    entry = check_sparse_rate_conditions(op, u, spec, None)["linearization_inequality"]
+    assert (entry["passed"], entry["data_shift_coeff"]) == (False, 1e-12)
+    assert _linearization_one_at_a_time(op, u, spec, 1000, 0.1, 0) == (False, 1e-12)
+
+
+def _toy_operator(m, n, eps):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((m, n)) / np.sqrt(m)
+    b = rng.standard_normal((m, n)) / np.sqrt(m)
+    return make_toy_nonlinear(a, b, eps)
+
+
+@pytest.mark.parametrize(
+    "op, n_samples",
+    [
+        (make_diagonal_linear((np.arange(2048) + 1.0) ** -1.0), 100),
+        (make_diagonal_linear((np.arange(64) + 1.0) ** -1.0), 333),
+        (make_convolution_linear(np.array([0.25, 0.5, 0.25]), 100), 333),
+        (make_dense_linear(np.random.default_rng(1).standard_normal((40, 70))), 333),
+        (_toy_operator(48, 32, 0.1), 1000),
+    ],
+)
+def test_sampled_values_bit_identical_per_sample(op, n_samples):
+    # every sample's penalty, data shift and linearization error, not only
+    # the extremes a report keeps
+    spec = PenaltySpec.uniform(1.5, 1.0, op.n)
+    u = np.zeros(op.n)
+    u[[0, 3, 8]] = [1.0, -0.7, 1.2]
+    pen, data_shift, lin_err = analysis._sample_perturbations(
+        op, u, spec, n_samples, 0.1, 6, linearization=True
+    )
+    rng = np.random.default_rng(6)
+    ref_data = op.apply(u)
+    for index in range(n_samples):
+        direction = rng.standard_normal(op.n)
+        direction /= np.linalg.norm(direction)
+        sample = u + 0.1 * direction
+        shifted = op.apply(sample) - ref_data
+        miss = shifted - op.derivative_apply(u, sample - u)
+        assert pen[index] == penalty_value(sample, spec)
+        assert data_shift[index] == np.linalg.norm(shifted)
+        assert lin_err[index] == np.linalg.norm(miss)
+
+
+def test_sampled_checks_memory_bounded_for_tall_operator():
+    # chunks are sized by the longer of n and m: sizing them by n alone
+    # would give 1024 rows of 4000 data entries, 32 MB per array
+    op = make_dense_linear(np.random.default_rng(0).standard_normal((4000, 4)))
+    spec = PenaltySpec.uniform(1.5, 1.0, 4)
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    constants = RateConstants(
+        norm_coeff=0.1, residual_coeff=1.0, exponent=1.5,
+        penalty_radius=np.inf, residual_radius=np.inf,
+    )
+    tracemalloc.start()
+    try:
+        report = validate_rate_inequality(op, u, spec, constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_in_region == 1000
+    assert peak < 2**20

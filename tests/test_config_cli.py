@@ -1,6 +1,8 @@
 """Config parsing round-trips and end-to-end CLI runs with exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,8 @@ from sparsereg.config import (
     parse_config,
     serialize_config,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CSV_HEADER = (
     "delta,alpha,trial,error_norm,residual_norm,err_bound,residual_bound,"
@@ -374,3 +378,29 @@ def test_cli_no_stray_temp_files(tmp_path):
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["rate.json", "rate.svg", "sweep.csv"]
+
+
+def test_cli_sweep_setup_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs every process milliseconds and about a megabyte of
+    # memory; nothing on the sweep path needs it
+    script = (
+        "import sys\n"
+        "from sparsereg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    config = str(ROOT / "configs" / "q15_diagonal.cfg")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--config", config, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
+def test_cli_duplicate_positions_is_config_error(tmp_path, capsys):
+    text = (ROOT / "configs" / "q15_diagonal.cfg").read_text()
+    cfg = _write(tmp_path / "dup.cfg", text.replace("positions = 0,5,15", "positions = 0,5,5"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "problem.positions" in err and "must not repeat" in err

@@ -105,7 +105,7 @@ def test_generate_problem_positions_override():
     np.testing.assert_array_equal(np.flatnonzero(inst.u_dagger), [0, 5, 15])
     with pytest.raises(ValueError):
         generate_problem("diagonal", 32, sparsity=3, seed=4, positions=(0, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positions must not repeat"):
         generate_problem("diagonal", 32, sparsity=3, seed=4, positions=(0, 5, 5))
     with pytest.raises(ValueError):
         generate_problem("diagonal", 32, sparsity=3, seed=4, positions=(0, 5, 32))
