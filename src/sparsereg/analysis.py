@@ -528,10 +528,14 @@ def theoretical_bound(constants: RateConstants, p: int, alpha: float, delta: flo
         err_pow = (1.0 + coupling) * delta / (alpha * constants.norm_coeff)
         residual_bound = (1.0 + coupling) * delta / (1.0 - coupling)
     else:
-        err_pow = (delta**2 + coupling * delta + 0.5 * coupling**2) / (
-            alpha * constants.norm_coeff
-        )
-        residual_bound = np.sqrt(2.0 * delta**2 + 2.0 * coupling * delta + coupling**2)
+        # as float64 scalars a square too large for a double is inf, where
+        # Python float ** raises OverflowError; both call the same pow
+        delta, coupling = np.float64(delta), np.float64(coupling)
+        with np.errstate(over="ignore"):
+            err_pow = (delta**2 + coupling * delta + 0.5 * coupling**2) / (
+                alpha * constants.norm_coeff
+            )
+            residual_bound = np.sqrt(2.0 * delta**2 + 2.0 * coupling * delta + coupling**2)
     return float(err_pow ** (1.0 / constants.exponent)), float(residual_bound)
 
 

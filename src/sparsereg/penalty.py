@@ -7,7 +7,6 @@ on plain 1-d float arrays; the solver kernels `_penalty_value` and
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -136,8 +135,10 @@ def bregman_distance(u_tilde, u, spec: PenaltySpec, xi) -> BregmanReport:
 
     value = R(u_tilde) - R(u) - <xi, u_tilde - u>.  The report also carries
     the lower bound c_q*||u_tilde - u||^2 / (3*w_min + 2*R(u) + R(u_tilde))
-    with c_q = scalar_bregman_constant(q)*w_min^2 for q > 1 (zero for q = 1),
-    and the slack value - lower_bound.
+    with c_q = d_q*w_min^2 for q > 1 (zero for q = 1), where
+    d_q = scalar_bregman_constant(q) is the closed form q*(q-1)/2 for q < 2
+    and 2 at q = 2, deflated by 1e-4 relative; and the slack
+    value - lower_bound.
 
     Raises ValueError if xi fails the coefficientwise subgradient conditions
     at u.
@@ -159,85 +160,30 @@ def bregman_distance(u_tilde, u, spec: PenaltySpec, xi) -> BregmanReport:
     return BregmanReport(value=value, lower_bound=lower, slack=value - lower)
 
 
-def _ratio_bounded(a, q):
-    # (|a|^(2-q) + 1) * (|a+1|^q - |a|^q - q*|a|^(q-1)*sign(a)), the scalar
-    # ratio with the difference of the two points normalized to 1; scaling
-    # and sign symmetry reduce the two-point search to this single variable.
-    # Safe for |a| <= 8: the convexity gap stays far above rounding there
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    gap = np.abs(a + 1.0) ** q - np.abs(a) ** q - q * np.abs(a) ** (q - 1.0) * np.sign(a)
-    return (np.abs(a) ** (2.0 - q) + 1.0) * gap
-
-
-def _ratio_inverse(t, q):
-    # Same ratio on the outer region |a| >= 8, parametrized by t = 1/a with
-    # t in [-1/8, 1/8].  t = 0 is the point at infinity, where the ratio
-    # extends continuously to q*(q-1)/2 * (1 + 0^(2-q)); sampling it directly
-    # is what lets the search reach the infimum, which for q < 2 is attained
-    # only in this limit.  Near t = 0 the gap (1+t)^q - 1 - q*t is evaluated
-    # by its binomial series, which is free of cancellation
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    s = np.abs(t)
-    out = np.empty_like(t)
-    small = s <= 0.02
-    ts = t[small]
-    coeffs = []
-    ck = q * (q - 1.0) / 2.0
-    for k in range(2, 8):
-        coeffs.append(ck)
-        ck *= (q - k) / (k + 1.0)
-    poly = np.full_like(ts, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        poly = poly * ts + c
-    out[small] = (1.0 + s[small] ** (2.0 - q)) * poly
-    tm = t[~small]
-    phi = np.expm1(q * np.log1p(tm)) - q * tm
-    out[~small] = (np.abs(tm) ** (q - 2.0) + 1.0) * np.abs(tm) ** (-q) * phi
-    return out
-
-
-def _refine(fun, q, center, step, dlo, dhi, best):
-    # shrink a bracket around the coarse minimizer, never leaving [dlo, dhi]
-    lo, hi = max(dlo, center - step), min(dhi, center + step)
-    for _ in range(60):
-        local = np.linspace(lo, hi, 129)
-        lv = fun(local, q)
-        j = int(np.argmin(lv))
-        best = min(best, float(lv[j]))
-        width = local[1] - local[0]
-        lo = max(dlo, local[j] - width)
-        hi = min(dhi, local[j] + width)
-        if hi - lo <= 1e-15:
-            break
-    return best
-
-
-@lru_cache(maxsize=None)
 def scalar_bregman_constant(q: float) -> float:
-    """Numerical lower estimate of the best constant in the scalar two-point
-    inequality  d_q*|a-b|^2 <= (|a|^(2-q)+|a-b|^(2-q)) * (|b|^q - |a|^q -
-    q*|a|^(q-1)*sign(a)*(b-a)),  1 < q <= 2.
+    """Best constant d_q of the scalar two-point inequality
+    d_q*|a-b|^2 <= (|a|^(2-q)+|a-b|^(2-q)) * (|b|^q - |a|^q -
+    q*|a|^(q-1)*sign(a)*(b-a)),  1 < q <= 2, deflated by 1e-4 relative:
+    q*(q-1)/2 for 1 < q < 2 and 2 at q = 2.
 
-    Computed by grid search plus local refinement on the scale-reduced ratio.
-    The slice is compactified: an inner chart covers moderate coefficient
-    scales and an inverse chart covers the rest including the infinite-scale
-    limit, so the search cannot miss an infimum approached at large scale.
-    The returned value is deflated by 1e-4 relative so it stays a lower
-    estimate of the infimum at the advertised 1e-4 accuracy.
+    Proof.  Both sides are homogeneous of degree 2 in (a, b) and even
+    under (a, b) -> (-a, -b), so take b - a = 1.  Taylor's formula with
+    integral remainder gives the bracket as
+    g(a) = q(q-1) * int_0^1 (1-s)*|a+s|^(q-2) ds >= q(q-1)/2 * (|a|+1)^(q-2),
+    since |a+s| <= |a|+1 and q - 2 <= 0.  The prefactor satisfies
+    |a|^(2-q) + 1 >= (|a|+1)^(2-q), because t -> t^(2-q) is subadditive on
+    t >= 0, so the ratio prefactor*g(a) is at least q(q-1)/2.  For q < 2 the
+    ratio tends to q(q-1)/2 as |a| -> infinity, so the constant is the
+    best possible.  At q = 2 the bracket is (b-a)^2 and the prefactor is 2,
+    so the ratio is 2 everywhere: the constant jumps from the limit 1 as
+    q -> 2 from below to 2 at q = 2.
+
+    The 1e-4 deflation leaves the lower bound a margin under the
+    floating-point rounding of both sides.
     """
     if not 1.0 < q <= 2.0:
         raise ValueError(f"exponent must satisfy 1 < q <= 2, got {q}")
-    ga = np.linspace(-8.0, 8.0, 32001)
-    va = _ratio_bounded(ga, q)
-    ka = int(np.argmin(va))
-    gt = np.linspace(-0.125, 0.125, 32001)
-    vt = _ratio_inverse(gt, q)
-    kt = int(np.argmin(vt))
-    best = min(float(va[ka]), float(vt[kt]))
-    best = _refine(_ratio_bounded, q, float(ga[ka]), float(ga[1] - ga[0]), -8.0, 8.0, best)
-    best = _refine(
-        _ratio_inverse, q, float(gt[kt]), float(gt[1] - gt[0]), -0.125, 0.125, best
-    )
+    best = 2.0 if q == 2.0 else q * (q - 1.0) / 2.0
     return best * (1.0 - 1e-4)
 
 

@@ -1,6 +1,7 @@
 """Condition certificates, rate constants, and theoretical bounds."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +530,19 @@ def test_theoretical_bound_monotone_and_rejections():
         theoretical_bound(c1, 1, alpha=0.5, delta=0.1)  # alpha*beta2 = 1
     with pytest.raises(ValueError):
         theoretical_bound(c1, 3, alpha=0.1, delta=0.1)
+
+
+def test_theoretical_bound_overflow_is_inf():
+    # squares past the double range come back as inf, as they do when the
+    # constants themselves overflow, not as an OverflowError
+    c = RateConstants(
+        norm_coeff=1.0, residual_coeff=1.0, exponent=1.5,
+        penalty_radius=np.inf, residual_radius=np.inf,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert theoretical_bound(c, 2, alpha=0.1, delta=1e160) == (np.inf, np.inf)
+        assert theoretical_bound(c, 2, alpha=1e160, delta=0.1) == (np.inf, np.inf)
 
 
 def test_sparse_conditions_identity_q1():

@@ -143,6 +143,18 @@ def test_cli_sweep_too_few_levels_is_numeric_failure(tmp_path, capsys):
     assert "4 usable noise levels" in capsys.readouterr().err
 
 
+# at a noise level of 1e300 the solver's data products overflow too
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_sweep_overflowing_bound_is_inf(tmp_path):
+    text = (ROOT / "configs" / "q15_diagonal.cfg").read_text()
+    cfg = _write(tmp_path / "big.cfg", text.replace("delta_max = 1e-1", "delta_max = 1e300"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    first = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert first["delta"] == "1e+300"
+    assert first["err_bound"] == first["residual_bound"] == "inf"
+
+
 def test_cli_sweep_too_few_levels_is_config_error(tmp_path, capsys):
     cfg = _write(
         tmp_path / "short.cfg", SWEEP_CFG.replace("delta_count = 5", "delta_count = 3")

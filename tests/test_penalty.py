@@ -104,9 +104,94 @@ def test_bregman_lower_bound_sampled():
             )
 
 
+def _ratio_bounded(a, q):
+    # (|a|^(2-q) + 1) * (|a+1|^q - |a|^q - q*|a|^(q-1)*sign(a)), the scalar
+    # ratio with the difference of the two points normalized to 1; scaling
+    # and sign symmetry reduce the two-point search to this single variable.
+    # Safe for |a| <= 8: the convexity gap stays far above rounding there
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    gap = np.abs(a + 1.0) ** q - np.abs(a) ** q - q * np.abs(a) ** (q - 1.0) * np.sign(a)
+    return (np.abs(a) ** (2.0 - q) + 1.0) * gap
+
+
+def _ratio_inverse(t, q):
+    # Same ratio on the outer region |a| >= 8, parametrized by t = 1/a with
+    # t in [-1/8, 1/8].  t = 0 is the point at infinity, where the ratio
+    # extends continuously to q*(q-1)/2 * (1 + 0^(2-q)); sampling it directly
+    # is what lets the search reach the infimum, which for q < 2 is attained
+    # only in this limit.  Near t = 0 the gap (1+t)^q - 1 - q*t is evaluated
+    # by its binomial series, which is free of cancellation
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    s = np.abs(t)
+    out = np.empty_like(t)
+    small = s <= 0.02
+    ts = t[small]
+    coeffs = []
+    ck = q * (q - 1.0) / 2.0
+    for k in range(2, 8):
+        coeffs.append(ck)
+        ck *= (q - k) / (k + 1.0)
+    poly = np.full_like(ts, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        poly = poly * ts + c
+    out[small] = (1.0 + s[small] ** (2.0 - q)) * poly
+    tm = t[~small]
+    phi = np.expm1(q * np.log1p(tm)) - q * tm
+    out[~small] = (np.abs(tm) ** (q - 2.0) + 1.0) * np.abs(tm) ** (-q) * phi
+    return out
+
+
+def _refine(fun, q, center, step, dlo, dhi, best):
+    # shrink a bracket around the coarse minimizer, never leaving [dlo, dhi]
+    lo, hi = max(dlo, center - step), min(dhi, center + step)
+    for _ in range(60):
+        local = np.linspace(lo, hi, 129)
+        lv = fun(local, q)
+        j = int(np.argmin(lv))
+        best = min(best, float(lv[j]))
+        width = local[1] - local[0]
+        lo = max(dlo, local[j] - width)
+        hi = min(dhi, local[j] + width)
+        if hi - lo <= 1e-15:
+            break
+    return best
+
+
+def _grid_search_constant(q):
+    # the numerical search the closed form replaced: grid search plus local
+    # refinement on the scale-reduced ratio.  An inner chart covers moderate
+    # coefficient scales and an inverse chart covers the rest including the
+    # infinite-scale limit, so the search cannot miss an infimum approached
+    # at large scale.  Deflated by 1e-4 like the closed form
+    ga = np.linspace(-8.0, 8.0, 32001)
+    va = _ratio_bounded(ga, q)
+    ka = int(np.argmin(va))
+    gt = np.linspace(-0.125, 0.125, 32001)
+    vt = _ratio_inverse(gt, q)
+    kt = int(np.argmin(vt))
+    best = min(float(va[ka]), float(vt[kt]))
+    best = _refine(_ratio_bounded, q, float(ga[ka]), float(ga[1] - ga[0]), -8.0, 8.0, best)
+    best = _refine(
+        _ratio_inverse, q, float(gt[kt]), float(gt[1] - gt[0]), -0.125, 0.125, best
+    )
+    return best * (1.0 - 1e-4)
+
+
+def _reduced_ratio(a, q):
+    # the scale-reduced ratio at b - a = 1 through the oracle's charts,
+    # free of cancellation at every scale: direct for |a| <= 8, in t = 1/a
+    # beyond
+    a = np.asarray(a, dtype=np.float64)
+    inner = np.abs(a) <= 8.0
+    out = np.empty_like(a)
+    out[inner] = _ratio_bounded(a[inner], q)
+    out[~inner] = _ratio_inverse(1.0 / a[~inner], q)
+    return out
+
+
 def test_constant_golden_values():
-    # frozen from the grid+refinement oracle; the q = 2 ratio is exactly 2
-    # and the interior infimum is the large-scale limit q(q-1)/2
+    # the closed form q(q-1)/2 (2 at q = 2), deflated by 1e-4; the interior
+    # infimum is the large-scale limit of the ratio
     assert scalar_bregman_constant(2.0) == pytest.approx(1.9997999999999538, rel=1e-12)
     assert scalar_bregman_constant(1.5) == pytest.approx(0.3749625, rel=1e-12)
     assert scalar_bregman_constant(1.25) == pytest.approx(0.156234375, rel=1e-12)
@@ -122,11 +207,29 @@ def test_constant_rejects_out_of_range():
             scalar_bregman_constant(bad)
 
 
+def test_constant_matches_grid_search_oracle():
+    for q in (1.0001, 1.001, 1.1, 1.25, 1.3, 1.5, 1.7, 1.9, 1.999, 1.9999):
+        assert scalar_bregman_constant(q) == _grid_search_constant(q), q
+    want = _grid_search_constant(2.0)
+    assert abs(scalar_bregman_constant(2.0) - want) <= 1e-13 * want
+
+
+def test_constant_extreme_scales():
+    # the two-point inequality over |a| in [1e-8, 1e6] of both signs, with
+    # b - a = 1 by scaling and symmetry; beyond |a| = 8 direct evaluation
+    # cancels catastrophically, so the ratio goes through the oracle charts
+    mags = np.geomspace(1e-8, 1e6, 4001)
+    a = np.concatenate([-mags[::-1], mags])
+    for q in (1.001, 1.25, 1.5, 1.9, 1.999, 2.0):
+        ratio = _reduced_ratio(a, q)
+        assert np.all(ratio >= scalar_bregman_constant(q)), q
+
+
 def test_constant_two_point_inequality():
     # d_q * (a-b)^2 <= (|a|^{2-q} + |a-b|^{2-q}) * (|b|^q - |a|^q - q|a|^{q-1}sgn(a)(b-a))
     # sampled on moderate scales where direct float evaluation is well
-    # conditioned; extreme scales cancel catastrophically and need the
-    # compactified oracle form instead
+    # conditioned; test_constant_extreme_scales covers the extreme scales,
+    # where direct evaluation cancels catastrophically
     rng = np.random.default_rng(5)
     for q in (1.25, 1.5, 1.75, 2.0):
         d = scalar_bregman_constant(q)
