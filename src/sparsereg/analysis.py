@@ -10,7 +10,7 @@ operators, validates them by sampling, and evaluates the closed-form
 error and residual bounds they imply.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -494,14 +494,7 @@ def estimate_rate_constants(
             f"growth inequality violated on {report.n_violations} of "
             f"{report.n_in_region} in-region samples ({listed})"
         )
-    return RateConstants(
-        norm_coeff=constants.norm_coeff,
-        residual_coeff=constants.residual_coeff,
-        exponent=constants.exponent,
-        penalty_radius=constants.penalty_radius,
-        residual_radius=constants.residual_radius,
-        validated=True,
-    )
+    return replace(constants, validated=True)
 
 
 def theoretical_bound(constants: RateConstants, p: int, alpha: float, delta: float):

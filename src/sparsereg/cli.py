@@ -67,10 +67,6 @@ def _build_instance(cfg: ExperimentConfig, validate: bool):
     )
 
 
-def _rate_exponent(cfg: ExperimentConfig) -> float:
-    return 1.0 if cfg.q == 1.0 else cfg.q
-
-
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
@@ -153,7 +149,7 @@ def cmd_sweep(args) -> int:
     )
     constants = None
     try:
-        constants = estimate_rate_constants(op, u_dagger, spec, cert, _rate_exponent(cfg))
+        constants = estimate_rate_constants(op, u_dagger, spec, cert, cfg.q)
     except ValueError:
         # sweep is still meaningful without validated constants; the rate
         # sidecar just carries null bounds
@@ -226,7 +222,7 @@ def cmd_check(args) -> int:
     constants_entry: dict
     if op.is_linear:
         try:
-            constants = estimate_rate_constants(op, u_dagger, spec, cert, _rate_exponent(cfg))
+            constants = estimate_rate_constants(op, u_dagger, spec, cert, cfg.q)
             constants_entry = constants.to_dict()
             constants_entry["passed"] = True
         except ValueError as exc:

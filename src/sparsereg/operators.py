@@ -67,10 +67,10 @@ class ForwardOperator(ABC):
 
     Subclasses implement `apply`, `derivative_apply` and
     `derivative_adjoint_apply`, each for one vector or a (B, n) (or
-    (B, m)) stack of rows.  The structural queries `column_norms_sq`,
-    `derivative_columns` and `derivative_adjoint_solve` take single
-    vectors and have generic fallbacks (unit-vector applies, or no solve)
-    that kinds holding their matrix, diagonal or frequency response
+    (B, m)) stack of rows.  The structural queries `column_norms_sq` (of a
+    linear kind), `derivative_columns` and `derivative_adjoint_solve` (at
+    single vectors) have generic fallbacks (unit-vector applies, or no
+    solve) that kinds holding their matrix, diagonal or frequency response
     override.
     """
 
@@ -104,15 +104,14 @@ class ForwardOperator(ABC):
     def derivative_adjoint_apply(self, u, y) -> np.ndarray:
         """Evaluate the adjoint of the derivative of F at u on y."""
 
-    def column_norms_sq(self, at=None) -> np.ndarray:
-        """Squared Euclidean norm of each column of the derivative at `at`.
+    def column_norms_sq(self) -> np.ndarray:
+        """Squared Euclidean norm of each column of a linear operator.
 
-        `at` defaults to the zero vector; linear kinds ignore it, and their
-        columns are those of their matrix.  This fallback applies the
-        derivative to every unit vector, n applies in all; kinds that hold
-        their structure override it.
+        This fallback applies the operator to every unit vector, n applies
+        in all; kinds that hold their structure override it.  A nonlinear
+        kind gets the columns of its derivative at the zero vector.
         """
-        at = np.zeros(self.n) if at is None else _as_vector(at, self.n, "linearization point")
+        at = np.zeros(self.n)
         unit = np.zeros(self.n)
         out = np.empty(self.n)
         for j in range(self.n):
@@ -180,7 +179,7 @@ class _DenseLinear(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return _matvec(self.matrix.T, _as_rows(y, self._m, "data vector"))
 
-    def column_norms_sq(self, at=None):
+    def column_norms_sq(self):
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
 
     def derivative_columns(self, at, columns):
@@ -207,7 +206,7 @@ class _DiagonalLinear(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return self.singular_values * _as_rows(y, self._m, "data vector")
 
-    def column_norms_sq(self, at=None):
+    def column_norms_sq(self):
         return self.singular_values * self.singular_values
 
     def derivative_columns(self, at, columns):
@@ -253,7 +252,7 @@ class _CircularConvolution(ForwardOperator):
         y = _as_rows(y, self._m, "data vector")
         return np.fft.irfft(np.fft.rfft(y) * np.conj(self._khat), self._n)
 
-    def column_norms_sq(self, at=None):
+    def column_norms_sq(self):
         # every column is a circular shift of the zero-padded kernel
         return np.full(self._n, float(self.kernel @ self.kernel))
 
@@ -297,11 +296,6 @@ class _ToyNonlinear(ForwardOperator):
         u = _as_rows(u, self._n, "linearization point")
         y = _as_rows(y, self._m, "data vector")
         return _matvec(self.a_matrix.T, y) + 2.0 * self.eps * u * _matvec(self.b_matrix.T, y)
-
-    def column_norms_sq(self, at=None):
-        at = np.zeros(self._n) if at is None else at
-        columns = self.derivative_columns(at, np.arange(self._n))
-        return np.einsum("ij,ij->j", columns, columns)
 
     def derivative_columns(self, at, columns):
         # column j of the derivative at u is a_j + 2*eps*u_j*b_j, rounded

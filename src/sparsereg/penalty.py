@@ -243,8 +243,16 @@ def _prox_power(z, thresh, q):
     a = np.abs(z)
     c = q * thresh
     if q == 1.5:
+        with np.errstate(over="ignore"):
+            cc = c * c
+        denom = c + np.sqrt(cc + 4.0 * a)
+        # c*c overflows past c ~ 1.34e154, where c*(1 + sqrt(1 + 4|z|/c/c))
+        # is the same denominator
+        wide = np.isinf(cc)
+        if wide.any():
+            c_wide = c[wide]
+            denom[wide] = c_wide * (1.0 + np.sqrt(1.0 + 4.0 * a[wide] / c_wide / c_wide))
         # the denominator is 0 only where z = 0 and thresh = 0; y stays 0 there
-        denom = c + np.sqrt(c * c + 4.0 * a)
         y = np.divide(2.0 * a, denom, out=np.zeros_like(a), where=denom > 0.0)
         return np.sign(z) * (y * y)
     r = 1.0 / (q - 1.0)

@@ -14,8 +14,8 @@ is bit-identical to solving it alone; a single solve is a batch of one.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,27 +31,27 @@ __all__ = [
 ]
 
 
+# Safety factor s on the Jacobi-scaled operator norm L = ||K T^(1/2)||^2,
+# T = diag(t), t_j = 1/||K[:, j]||^2, which power iteration estimates from
+# slightly below.  Both linear solvers use it: coordinate j of the p = 2 step
+# is s*t_j/L, and the p = 1 primal-dual steps satisfy
+# sigma*||K diag(tau)^(1/2)||^2 = s^2.
+_STEP_SAFETY = 0.99
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Data exponent, penalty weight alpha, and iteration controls.
+    """Data exponent p in {1, 2}, penalty weight alpha, and iteration controls.
 
-    tol is a relative iterate-change threshold.  inner_max_iter and
-    inner_tol control the linearized subproblem solves of the nonlinear
-    path and default to the outer values.  step_safety is a safety factor
-    s on the Jacobi-scaled operator norm L = ||K T^(1/2)||^2, T = diag(t),
-    t_j = 1/||K[:, j]||^2, that power iteration estimates from slightly
-    below, for both linear solvers: coordinate j of the p = 2 step is
-    s*t_j/L, and the p = 1 primal-dual steps satisfy
-    sigma*||K diag(tau)^(1/2)||^2 = s^2.
+    max_iter caps the iterations and tol is a relative iterate-change
+    threshold.  The nonlinear path runs its linearized subproblem solves
+    with the same max_iter and tol as its outer loop.
     """
 
     p: int
     alpha: float
     max_iter: int = 50000
     tol: float = 1e-10
-    inner_max_iter: Optional[int] = None
-    inner_tol: Optional[float] = None
-    step_safety: float = 0.99
 
     def __post_init__(self):
         if self.p not in (1, 2):
@@ -62,14 +62,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.inner_max_iter is not None and self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be at least 1 when given")
-        if self.inner_tol is not None and not (
-            np.isfinite(self.inner_tol) and self.inner_tol > 0.0
-        ):
-            raise ValueError("inner_tol must be positive when given")
-        if not 0.0 < self.step_safety <= 1.0:
-            raise ValueError(f"step_safety must lie in (0, 1], got {self.step_safety}")
 
 
 @dataclass
@@ -129,21 +121,16 @@ def _per_row(cfgs, *keys):
     return [np.array([getattr(cfg, key) for cfg in cfgs]) for key in keys]
 
 
-def _check_data(op: ForwardOperator, data, spec: PenaltySpec) -> np.ndarray:
+def _check(op: ForwardOperator, data, spec: PenaltySpec, cfgs, p: int) -> np.ndarray:
+    """The (B, m) data as float64, one row per config, each config with p."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1 or data.size != op.m:
-        raise ValueError(f"expected data vector of length {op.m}, got shape {data.shape}")
+    if data.shape != (len(cfgs), op.m):
+        raise ValueError(f"expected {len(cfgs)} data rows of length {op.m}, got {data.shape}")
     if spec.n != op.n:
         raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
+    if any(cfg.p != p for cfg in cfgs):
+        raise ValueError(f"this solver handles p = {p} only")
     return data
-
-
-def _check_linear(op: ForwardOperator, data, spec: PenaltySpec, p_expected: int, cfg):
-    if not op.is_linear:
-        raise ValueError("this solver handles linear operators only")
-    if cfg.p != p_expected:
-        raise ValueError(f"config requests p={cfg.p}, this solver handles p={p_expected}")
-    return _check_data(op, data, spec)
 
 
 def _jacobi_metric(op: ForwardOperator, start=None):
@@ -183,7 +170,7 @@ def solve_linear_p2(
     Accelerated forward-backward iteration on the equivalent half-scaled
     objective in the diagonal (Jacobi) metric D = (L/s) T^-1 (variable
     metric, Combettes & Vu 2014), with t_j = 1/||K[:, j]||^2,
-    L = ||K T^(1/2)||^2 and s = step_safety.  Since L bounds the scaled
+    L = ||K T^(1/2)||^2 and s = _STEP_SAFETY.  Since L bounds the scaled
     operator, D majorizes K^T K for every linear kind; for K = diag(k) it
     is K^T K/s, so the iteration is near-exact in one step.  Coordinate j
     steps by s*t_j/L, and its prox threshold is that step times
@@ -191,8 +178,9 @@ def solve_linear_p2(
     whenever it would increase the objective, falling back to a plain
     step, which keeps the recorded objective trace nonincreasing.
     """
-    data = _check_linear(op, data, spec, 2, cfg)
-    return _solve_p2(op, data[None], spec, [cfg], None if u0 is None else [u0])[0]
+    if not op.is_linear:
+        raise ValueError("this solver handles linear operators only")
+    return _solve_p2(op, np.asarray(data)[None], spec, [cfg], None if u0 is None else [u0])[0]
 
 
 def _solve_p2(op, data, spec, cfgs, u0=None) -> list:
@@ -204,13 +192,7 @@ def _solve_p2(op, data, spec, cfgs, u0=None) -> list:
     runs in chunks of rows whose Jacobian stack keeps under
     _JACOBIAN_STACK_ENTRIES entries.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape != (len(cfgs), op.m):
-        raise ValueError(f"expected {len(cfgs)} data rows of length {op.m}, got {data.shape}")
-    if spec.n != op.n:
-        raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
-    if any(cfg.p != 2 for cfg in cfgs):
-        raise ValueError("the p = 2 solvers need p = 2 in every config")
+    data = _check(op, data, spec, cfgs, 2)
     u0 = None if u0 is None else np.array(u0, dtype=np.float64)
     if op.is_linear:
         return _reports(op, data, spec, cfgs, *_forward_backward_p2(op, data, spec, cfgs, u0)[:4])
@@ -267,7 +249,7 @@ def _forward_backward_p2(op, data, spec, cfgs, u0=None, start=None, traced=True)
     the objective reuses) and one adjoint apply.
     """
     rows, n = data.shape[0], op.n
-    alpha, tol, max_iter, safety = _per_row(cfgs, "alpha", "tol", "max_iter", "step_safety")
+    alpha, tol, max_iter = _per_row(cfgs, "alpha", "tol", "max_iter")
     x = np.zeros((rows, n)) if u0 is None else u0.copy()
     x_image = op.apply(x)
     obj = _objective(x, x_image, data, alpha, spec)
@@ -286,7 +268,7 @@ def _forward_backward_p2(op, data, spec, cfgs, u0=None, start=None, traced=True)
         for b, value in zip(dead.tolist(), final.tolist()):
             traces[b].append(value)
     live = np.flatnonzero(~zero)
-    step = (safety[live] / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
+    step = (_STEP_SAFETY / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
     part = _LiveRows(
         op._rows(live, in_place=True),
         data[live],
@@ -358,14 +340,16 @@ def solve_linear_p1(
     j steps by tau_j = s*t_j/sqrt(L) with t_j = 1/||K[:, j]||^2 and
     L = ||K T^(1/2)||^2, T = diag(t), while the dual step stays the scalar
     sigma = s/sqrt(L) because its prox is the projection onto the l2 ball.
-    With s = step_safety this gives sigma*||K diag(tau)^(1/2)||^2 = s^2,
+    With s = _STEP_SAFETY this gives sigma*||K diag(tau)^(1/2)||^2 = s^2,
     below 1 for s < 1.  A zero column leaves its coordinate out of the
     data term, so any step is admissible there; it gets the largest step
     of the others and the prox alone drives it towards zero.  Stops when
     both iterates change less than tol in relative terms.  One data vector
     per call: the p = 1 iteration is not batched.
     """
-    data = _check_linear(op, data, spec, 1, cfg)
+    if not op.is_linear:
+        raise ValueError("this solver handles linear operators only")
+    data = _check(op, np.asarray(data)[None], spec, [cfg], 1)[0]
 
     def objective(u):
         return float(np.linalg.norm(op.apply(u) - data)) + cfg.alpha * penalty_value(u, spec)
@@ -381,7 +365,7 @@ def solve_linear_p1(
         # zero operator: the penalty alone drives every coefficient to zero
         u = np.zeros(op.n)
         return _report(op, data, spec, cfg, u, 0, True, trace + [objective(u)])
-    sigma = cfg.step_safety / np.sqrt(lip)
+    sigma = _STEP_SAFETY / np.sqrt(lip)
     tau = sigma * t
     thresh = tau * cfg.alpha * spec.weights
     y = np.zeros(op.m)
@@ -450,7 +434,7 @@ class _JacobianStack(ForwardOperator):
     def derivative_adjoint_apply(self, u, y):
         return _matvec(self.matrices.transpose(0, 2, 1), y)
 
-    def column_norms_sq(self, at=None):
+    def column_norms_sq(self):
         return np.einsum("bij,bij->bj", self.matrices, self.matrices)
 
     def _rows(self, keep, in_place=False):
@@ -474,16 +458,14 @@ def solve_nonlinear(
     assembling its derivative once as a dense matrix (`derivative_columns`),
     solve the resulting linear p=2 problem warm-started there, then damp
     the step by halving (at most 20 times) until the true objective does
-    not increase.  Inner solves use inner_max_iter/inner_tol when set.
+    not increase.  Inner solves use the outer max_iter and tol.
     Each inner solve starts the power iteration of its metric from the top
     eigenvector of the previous one, since consecutive linearizations are
     close.
     """
-    if cfg.p != 2:
-        raise ValueError("the nonlinear path supports p = 2 only")
-    data = _check_data(op, data, spec)
+    data = _check(op, np.asarray(data)[None], spec, [cfg], 2)
     u0 = None if u0 is None else np.asarray(u0, dtype=np.float64)[None]
-    return _gauss_newton(op, data[None], spec, [cfg], u0)[0]
+    return _gauss_newton(op, data, spec, [cfg], u0)[0]
 
 
 def _linearize(op, base, data):
@@ -507,10 +489,6 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
     own.  A row leaves the batch when it stops.
     """
     rows, n = data.shape[0], op.n
-    inner = [
-        replace(cfg, max_iter=cfg.inner_max_iter or cfg.max_iter, tol=cfg.inner_tol or cfg.tol)
-        for cfg in cfgs
-    ]
     alpha, tol, max_iter = _per_row(cfgs, "alpha", "tol", "max_iter")
 
     def objective(live, u):
@@ -533,7 +511,7 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
         x, *_, top[live] = _forward_backward_p2(
             *_linearize(op, base, data[live]),
             spec,
-            [inner[b] for b in live],
+            [cfgs[b] for b in live],
             base,
             top[live],
             traced=False,

@@ -245,19 +245,6 @@ def test_operator_norm_sq_nonlinear_at_point():
     assert operator_norm_sq(op, at=u) == pytest.approx(want, rel=1e-6)
 
 
-def test_toy_nonlinear_column_norms_at_point():
-    # closed form |a_j + 2*eps*u_j*b_j|^2 against the unit-vector fallback
-    rng = np.random.default_rng(13)
-    op = make_toy_nonlinear(rng.standard_normal((7, 5)), rng.standard_normal((7, 5)), 0.3)
-    u = rng.standard_normal(5)
-    np.testing.assert_allclose(
-        op.column_norms_sq(u), ForwardOperator.column_norms_sq(op, u), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        op.column_norms_sq(), ForwardOperator.column_norms_sq(op), rtol=1e-12
-    )
-
-
 def test_toy_nonlinear_derivative_columns_make_no_applies():
     # the assembled Jacobian a_j + 2*eps*u_j*b_j, which each Gauss-Newton
     # step builds, matches one derivative apply per unit vector

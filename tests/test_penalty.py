@@ -1,5 +1,7 @@
 """Penalty evaluation, subgradients, Bregman bounds, and the prox map."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,18 @@ def test_prox_q15_closed_form_edges():
         got = penalty._prox_power(np.array([1e-8]), np.array([1e2]), 1.5)[0]
     want = float(_log_bisection_root(1e-8, 1.5 * 1e2, 1.5))
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_prox_q15_huge_threshold():
+    # c = q*thresh = 1e300 overflows c*c; the root of y^2 + c*y = |z| at
+    # |z| = c is y = 1 - O(1e-300), so x = 1, and a lane beside it keeps
+    # the bits it gets alone
+    z, thresh = np.array([1e300, -2.0]), np.array([1e300 / 1.5, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = penalty._prox_power(z, thresh, 1.5)
+    assert got[0] == pytest.approx(1.0, rel=1e-12)
+    assert got[1] == penalty._prox_power(z[1:], thresh[1:], 1.5)[0]
 
 
 def test_zero_threshold_is_identity():

@@ -41,8 +41,6 @@ def test_config_validation():
         SolverConfig(p=2, alpha=1.0, tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(p=2, alpha=1.0, max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(p=2, alpha=1.0, step_safety=1.5)
 
 
 def test_p2_identity_q2_golden():
@@ -104,6 +102,32 @@ def test_p2_rejects_nonlinear():
         solve_linear_p2(op, np.zeros(4), spec, SolverConfig(p=2, alpha=1.0))
     with pytest.raises(ValueError):
         solve_linear_p1(op, np.zeros(4), spec, SolverConfig(p=1, alpha=0.1))
+
+
+@pytest.mark.parametrize(
+    "solve, p", [(solve_linear_p1, 1), (solve_linear_p2, 2), (solve_nonlinear, 2)]
+)
+def test_solvers_reject_bad_input(solve, p):
+    # one shared check: data length, penalty length and p, and the linear
+    # solvers' rejection of a nonlinear operator
+    op = make_dense_linear(np.random.default_rng(4).standard_normal((4, 3)))
+    spec = PenaltySpec.uniform(1.5, 1.0, 3)
+    cfg = SolverConfig(p=p, alpha=0.1)
+    solve(op, np.zeros(4), spec, cfg)
+    with pytest.raises(ValueError):
+        solve(op, np.zeros(5), spec, cfg)
+    with pytest.raises(ValueError):
+        solve(op, np.zeros((1, 4)), spec, cfg)
+    with pytest.raises(ValueError):
+        solve(op, np.zeros(4), PenaltySpec.uniform(1.5, 1.0, 4), cfg)
+    with pytest.raises(ValueError):
+        solve(op, np.zeros(4), spec, SolverConfig(p=3 - p, alpha=0.1))
+    toy = make_toy_nonlinear(np.zeros((4, 3)), np.ones((4, 3)), 0.1)
+    if solve is solve_nonlinear:
+        solve(toy, np.zeros(4), spec, cfg)
+    else:
+        with pytest.raises(ValueError):
+            solve(toy, np.zeros(4), spec, cfg)
 
 
 def _kkt_gap_q_smooth(op, data, spec, alpha, u):
