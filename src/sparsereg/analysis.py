@@ -64,14 +64,6 @@ class SourceCertificate:
     residual: float
     source_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "source_norm": self.source_norm,
-            "subgradient": self.subgradient.tolist(),
-            "source_element": self.source_element.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class InjectivityReport:

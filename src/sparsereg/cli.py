@@ -6,7 +6,6 @@ failure.  All artifacts are written atomically (temp file then rename).
 """
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -24,7 +23,7 @@ from .experiments import (
     write_rate_json,
     write_sweep_csv,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_json, atomic_write_text
 from .svgplot import render_rate_plot
 
 __all__ = ["main"]
@@ -72,10 +71,6 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _write_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _solve_alpha(cfg: ExperimentConfig, delta: float) -> float:
     if cfg.alpha is not None:
         return cfg.alpha
@@ -108,7 +103,7 @@ def cmd_solve(args) -> int:
     atomic_write_text(_out_path(cfg, "solution.csv"), "\n".join(lines) + "\n")
 
     error_norm = float(np.linalg.norm(report.minimizer - instance.u_dagger))
-    _write_json(
+    atomic_write_json(
         _out_path(cfg, "report.json"),
         {
             "delta": delta,
@@ -236,7 +231,7 @@ def cmd_check(args) -> int:
     passed = bool(report["passed"] and constants_ok)
 
     payload = {"checks": report, "constants": constants_entry, "passed": passed}
-    _write_json(_out_path(cfg, "check.json"), payload)
+    atomic_write_json(_out_path(cfg, "check.json"), payload)
 
     for name in (
         "source_condition",

@@ -7,7 +7,6 @@ log-log slope of error against noise, which is the quantity the rate
 theory predicts.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +19,7 @@ from .analysis import (
     check_support_injectivity,
     theoretical_bound,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_json, atomic_write_text
 from .operators import (
     ForwardOperator,
     load_matrix_csv,
@@ -120,9 +119,6 @@ class RecoveryReport:
     status: str  # "pass", "fail", or "inapplicable"
     error: float
     threshold: float
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "error": self.error, "threshold": self.threshold}
 
 
 def _draw_reference(rng, n: int, sparsity: int, positions=None) -> np.ndarray:
@@ -509,4 +505,4 @@ def write_rate_json(result: SweepResult, path, conditions: Optional[dict] = None
         "conditions": conditions,
         "n_rows": len(result.rows),
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_json(path, payload)

@@ -1,5 +1,6 @@
 """Atomic text-file writes for experiment artifacts."""
 
+import json
 import os
 import tempfile
 
@@ -24,3 +25,9 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_json(path, payload) -> None:
+    """Write payload atomically as JSON: indented by 2, keys sorted, and a
+    final newline, the format of every JSON artifact."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

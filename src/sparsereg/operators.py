@@ -347,7 +347,12 @@ def operator_norm_sq(op: ForwardOperator, at=None) -> float:
     relative Rayleigh-quotient change below 1e-10; works for matrix-free
     operators.  `at` defaults to the zero vector.
     """
-    return _power_iteration(op, at)[0]
+    at = _as_vector(np.zeros(op.n) if at is None else at, op.n, "linearization point")
+
+    def gram(x):
+        return op.derivative_adjoint_apply(at, op.derivative_apply(at, x))
+
+    return _power_iteration(gram, _power_start(op.n))[0]
 
 
 def _power_start(n: int) -> np.ndarray:
@@ -355,27 +360,24 @@ def _power_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _power_iteration(op: ForwardOperator, at=None, start=None):
-    """operator_norm_sq together with the last normalized iterate.
+def _power_iteration(gram, start):
+    """Top eigenvalue and normalized eigenvector of a symmetric PSD map.
 
-    `start` replaces the seeded start vector; a nearby top eigenvector,
-    such as the one returned for a neighbouring operator, meets the
-    stopping rule in fewer iterations.  A (B, n) `start` runs one
-    iteration per row, for an operator that takes (B, n) rows with one
-    operator per row: each row stops on its own rule, and from then on
-    its values are frozen, so it gets the values it would get alone.
-    Returns (float, vector) for a 1-d start, else ((B,), (B, n)).
+    `gram` maps a (B, n) stack of rows to their images, such as
+    x -> K^T K x.  The iteration starts from `start` normalized (in a
+    copy); a nearby top eigenvector, such as the one returned for a
+    neighbouring map, meets the stopping rule in fewer iterations.  A
+    (B, n) `start` runs one iteration per row, for a map with one operator
+    per row: each row stops on its own rule, and from then on its values
+    are frozen, so it gets the values it would get alone.  Returns
+    (float, vector) for a 1-d start, else ((B,), (B, n)).
     """
-    if at is None:
-        at = np.zeros(op.n)
-    at = _as_vector(at, op.n, "linearization point")
-    start = _as_rows(_power_start(op.n) if start is None else start, op.n, "start vector")
     x = np.atleast_2d(start)
     x = x / np.sqrt(_row_dots(x, x))[:, None]
     lam = np.zeros(x.shape[0])
     live = np.ones(x.shape[0], dtype=bool)
     for _ in range(200):
-        z = op.derivative_adjoint_apply(at, op.derivative_apply(at, x))
+        z = gram(x)
         lam_new = _row_dots(x, z)
         nz = np.sqrt(_row_dots(z, z))
         # a zero image gives lam_new = 0 and leaves x as it is

@@ -88,7 +88,11 @@ _JACOBIAN_STACK_ENTRIES = 1 << 22
 
 
 def _reports(op, data, spec, cfgs, x, iterations, converged, traces) -> list:
-    """One SolveReport per row of the (B, n) minimizers x."""
+    """One SolveReport per row of the (B, n) minimizers x.
+
+    A row whose residual norm or penalty value is not finite is reported
+    as not converged: its objective cannot be optimal.
+    """
     r = op.apply(x) - data
     resid = np.sqrt(_row_dots(r, r)).tolist()
     pen = _penalty_value(x, spec).tolist()
@@ -99,7 +103,7 @@ def _reports(op, data, spec, cfgs, x, iterations, converged, traces) -> list:
             residual_norm=resid[b],
             penalty_value=pen[b],
             iterations=int(iterations[b]),
-            converged=bool(converged[b]),
+            converged=bool(converged[b]) and math.isfinite(resid[b]) and math.isfinite(pen[b]),
             objective_trace=traces[b],
         )
         for b, cfg in enumerate(cfgs)
@@ -139,12 +143,14 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     K is the linear operator `op` and T = diag(t), so L T^-1 majorizes
     K^T K.  A zero column leaves its coordinate out of the data term; it
     gets the largest scale of the others, so its step stays finite and the
-    prox alone drives it towards zero.  `start` warm-starts the power
-    iteration for L.  Returns (t, L, top eigenvector of
-    T^(1/2) K^T K T^(1/2), zero), where zero flags an operator whose every
-    column is zero; the solvers do not iterate on it, its t and L are
-    placeholders and its top is `start`.  A _JacobianStack gets one of
-    each per matrix, and needs a (B, n) `start`.
+    prox alone drives it towards zero.  L is the top eigenvalue of the
+    Gram map x -> T^(1/2) K^T K T^(1/2) x, found by power iteration from
+    `start` (by default the seeded start vector); a nearby top
+    eigenvector, such as the previous Gauss-Newton step's, warm-starts it.
+    Returns (t, L, top eigenvector, zero), where zero flags an operator
+    whose every column is zero; the solvers do not iterate on it, its t
+    and L are placeholders and its top is `start`.  A _JacobianStack gets
+    one of each per matrix, and needs a (B, n) `start`.
     """
     with np.errstate(divide="ignore"):
         t = 1.0 / op.column_norms_sq()
@@ -152,9 +158,14 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     zero = ~coupled.any(axis=-1)
     largest = np.where(coupled, t, 0.0).max(axis=-1, keepdims=True)
     t = np.where(coupled, t, np.where(zero[..., None], 1.0, largest))
-    lip, top = _power_iteration(_ColumnScaledOperator(op, np.sqrt(t)), start=start)
-    if start is not None:
-        top[zero] = start[zero]
+    scale, at = np.sqrt(t), np.zeros(op.n)
+
+    def gram(x):
+        return scale * op.derivative_adjoint_apply(at, op.derivative_apply(at, scale * x))
+
+    start = _power_start(op.n) if start is None else start
+    lip, top = _power_iteration(gram, start)
+    top[zero] = start[zero]
     return t, lip, top, zero
 
 
@@ -195,7 +206,8 @@ def _solve_p2(op, data, spec, cfgs, u0=None) -> list:
     data = _check(op, data, spec, cfgs, 2)
     u0 = None if u0 is None else np.array(u0, dtype=np.float64)
     if op.is_linear:
-        return _reports(op, data, spec, cfgs, *_forward_backward_p2(op, data, spec, cfgs, u0)[:4])
+        solved = _forward_backward_p2(op, data, spec, cfgs, _jacobi_metric(op), u0)
+        return _reports(op, data, spec, cfgs, *solved)
     chunk = max(1, _JACOBIAN_STACK_ENTRIES // (op.m * op.n))
     reports = []
     for lo in range(0, len(cfgs), chunk):
@@ -232,17 +244,16 @@ def _kept_rows(done):
     return order
 
 
-def _forward_backward_p2(op, data, spec, cfgs, u0=None, start=None, traced=True):
+def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None, traced=True):
     """solve_linear_p2 on checked (B, m) data, one config per row.
 
-    `op` takes (B, n) rows: one linear operator shared by every row, whose
-    metric is computed once, or a _JacobianStack with one matrix per row,
-    which the loop compacts in place as rows stop.  Each row has its own
-    momentum, restarts, stopping test, iteration count and objective
-    trace, and leaves the working set when it stops.  Returns the (B, n)
-    minimizers, iteration counts, convergence flags and objective traces
-    (None unless traced), and the top eigenvectors of the metric's power
-    iteration, which warm-start it for a nearby operator.  The loop
+    `op` takes (B, n) rows: one linear operator shared by every row, or a
+    _JacobianStack with one matrix per row, which the loop compacts in
+    place as rows stop.  `metric` is `_jacobi_metric(op)`.  Each row has
+    its own momentum, restarts, stopping test, iteration count and
+    objective trace; when it stops, its row is compacted out of the
+    working arrays.  Returns the (B, n) minimizers, iteration counts,
+    convergence flags and objective traces (None unless traced).  The loop
     carries the image K u of each iterate next to it: since K is linear,
     the extrapolated point's image is the same combination of the images,
     so each forward-backward step makes one apply (of its result, which
@@ -257,7 +268,7 @@ def _forward_backward_p2(op, data, spec, cfgs, u0=None, start=None, traced=True)
     out = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
     converged = np.zeros(rows, dtype=bool)
-    t, lip, top, zero = _jacobi_metric(op, start)
+    t, lip, _, zero = metric
     lip, zero = np.broadcast_to(lip, (rows,)), np.broadcast_to(zero, (rows,))
     # zero operator: the penalty alone drives every coefficient to zero
     dead = np.flatnonzero(zero)
@@ -321,7 +332,7 @@ def _forward_backward_p2(op, data, spec, cfgs, u0=None, start=None, traced=True)
             x, x_image, y, y_image, obj, momentum = (
                 v[keep] for v in (x, x_image, y, y_image, obj, momentum)
             )
-    return out, iterations, converged, traces, top
+    return out, iterations, converged, traces
 
 
 def solve_linear_p1(
@@ -390,29 +401,6 @@ def solve_linear_p1(
     return report
 
 
-class _ColumnScaledOperator(ForwardOperator):
-    """Linear operator K diag(scale): K with column j multiplied by scale_j.
-
-    A (B, n) scale holds the scales of each operator of a stack.
-    """
-
-    def __init__(self, op: ForwardOperator, scale: np.ndarray):
-        self._op = op
-        self._scale = scale
-        self._n = op.n
-        self._m = op.m
-        self._linear = True
-
-    def apply(self, u):
-        return self._op.apply(self._scale * u)
-
-    def derivative_apply(self, u, h):
-        return self._op.derivative_apply(u, self._scale * h)
-
-    def derivative_adjoint_apply(self, u, y):
-        return self._scale * self._op.derivative_adjoint_apply(u, y)
-
-
 class _JacobianStack(ForwardOperator):
     """Linear operators K_b stored as a (B, m, n) stack, one per batch row.
 
@@ -459,9 +447,9 @@ def solve_nonlinear(
     solve the resulting linear p=2 problem warm-started there, then damp
     the step by halving (at most 20 times) until the true objective does
     not increase.  Inner solves use the outer max_iter and tol.
-    Each inner solve starts the power iteration of its metric from the top
-    eigenvector of the previous one, since consecutive linearizations are
-    close.
+    Each step computes the Jacobi metric of its Jacobian by power
+    iteration started from the previous step's top eigenvector, since
+    consecutive linearizations are close.
     """
     data = _check(op, np.asarray(data)[None], spec, [cfg], 2)
     u0 = None if u0 is None else np.asarray(u0, dtype=np.float64)[None]
@@ -506,16 +494,15 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
     while live.size:
         iteration += 1
         base = u[live]
-        # the Jacobian stack is passed on, not kept, so it is freed before
-        # the next step allocates its own
-        x, *_, top[live] = _forward_backward_p2(
-            *_linearize(op, base, data[live]),
-            spec,
-            [cfgs[b] for b in live],
-            base,
-            top[live],
-            traced=False,
-        )
+        jacobians, linear_data = _linearize(op, base, data[live])
+        metric = _jacobi_metric(jacobians, top[live])
+        top[live] = metric[2]
+        x = _forward_backward_p2(
+            jacobians, linear_data, spec, [cfgs[b] for b in live], metric, base, traced=False
+        )[0]
+        # the Jacobian stack is not kept, so it is freed before the next
+        # step allocates its own
+        del jacobians
         step = x - base
         cand = base + step
         cand_obj = objective(live, cand)

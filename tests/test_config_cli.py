@@ -153,6 +153,13 @@ def test_cli_sweep_overflowing_bound_is_inf(tmp_path):
     first = dict(zip(rows[0].split(","), rows[1].split(",")))
     assert first["delta"] == "1e+300"
     assert first["err_bound"] == first["residual_bound"] == "inf"
+    # the five levels whose residual overflows are not converged, and so
+    # leave the rate fit
+    table = [dict(zip(rows[0].split(","), row.split(","))) for row in rows[1:]]
+    failed = {row["delta"] for row in table if row["converged"] == "0"}
+    assert len(failed) == 5
+    assert all((row["residual_norm"] == "inf") == (row["delta"] in failed) for row in table)
+    assert json.loads((tmp_path / "o" / "rate.json").read_text())["rate"]["n_points"] == 5
 
 
 def test_cli_sweep_too_few_levels_is_config_error(tmp_path, capsys):

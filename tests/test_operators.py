@@ -12,6 +12,7 @@ from sparsereg.operators import (
     make_toy_nonlinear,
     operator_norm_sq,
     _power_iteration,
+    _power_start,
 )
 
 
@@ -269,11 +270,16 @@ def test_toy_nonlinear_derivative_columns_make_no_applies():
 def test_power_iteration_warm_start_matches_cold_start():
     rng = np.random.default_rng(15)
     op = make_dense_linear(rng.standard_normal((12, 9)))
-    cold, top = _power_iteration(op)
+    at = np.zeros(9)
+
+    def gram(x):
+        return op.derivative_adjoint_apply(at, op.derivative_apply(at, x))
+
+    cold, top = _power_iteration(gram, _power_start(9))
     assert cold == operator_norm_sq(op)
     nearby = top + 1e-3 * rng.standard_normal(9)
     kept = nearby.copy()
-    warm, _ = _power_iteration(op, start=nearby)
+    warm, _ = _power_iteration(gram, nearby)
     assert warm == pytest.approx(cold, rel=1e-9)
     # the start vector is normalized in a copy, not in place
     np.testing.assert_array_equal(nearby, kept)

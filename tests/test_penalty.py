@@ -1,5 +1,6 @@
 """Penalty evaluation, subgradients, Bregman bounds, and the prox map."""
 
+import decimal
 import warnings
 
 import numpy as np
@@ -366,13 +367,24 @@ def test_prox_q15_closed_form_edges():
 def test_prox_q15_huge_threshold():
     # c = q*thresh = 1e300 overflows c*c; the root of y^2 + c*y = |z| at
     # |z| = c is y = 1 - O(1e-300), so x = 1, and a lane beside it keeps
-    # the bits it gets alone
-    z, thresh = np.array([1e300, -2.0]), np.array([1e300 / 1.5, 0.7])
+    # the bits it gets alone.  The last three lanes overflow 4|z| (and
+    # 2|z|), the last one c*c as well.
+    z = np.array([1e300, -2.0, 1e308, -5e307, 1.7e308])
+    thresh = np.array([1e300 / 1.5, 0.7, 1.0, 1e154 / 1.5, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = penalty._prox_power(z, thresh, 1.5)
     assert got[0] == pytest.approx(1.0, rel=1e-12)
-    assert got[1] == penalty._prox_power(z[1:], thresh[1:], 1.5)[0]
+    assert got[1] == penalty._prox_power(z[1:2], thresh[1:2], 1.5)[0]
+    # the root of x + c*x^(1/2) = |z| is x = y^2 with
+    # y = 2|z| / (c + sqrt(c^2 + 4|z|)), here in 60-digit decimals
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for zi, ti, xi in zip(z[2:], thresh[2:], got[2:]):
+            a, c = decimal.Decimal(abs(zi)), decimal.Decimal(1.5 * ti)
+            root = float((2 * a / (c + (c * c + 4 * a).sqrt())) ** 2)
+            assert np.sign(xi) == np.sign(zi)
+            assert abs(xi) == pytest.approx(root, rel=1e-12)
 
 
 def test_zero_threshold_is_identity():

@@ -1,6 +1,7 @@
 """Solvers for the regularized functional: goldens, certificates, traces."""
 
 import collections
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +129,25 @@ def test_solvers_reject_bad_input(solve, p):
     else:
         with pytest.raises(ValueError):
             solve(toy, np.zeros(4), spec, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "solve, p", [(solve_linear_p1, 1), (solve_linear_p2, 2), (solve_nonlinear, 2)]
+)
+def test_solvers_overflowing_data_is_not_converged(solve, p):
+    # data of 1e300 overflow the residual norm (to inf, or nan through the
+    # toy operator's u*u); the iterate stops moving, but is not optimal
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 3))
+    if solve is solve_nonlinear:
+        op = make_toy_nonlinear(a, rng.standard_normal((4, 3)), 0.1)
+    else:
+        op = make_dense_linear(a)
+    spec = PenaltySpec.uniform(1.5, 1.0, 3)
+    report = solve(op, np.full(4, 1e300), spec, SolverConfig(p=p, alpha=0.1))
+    assert not np.isfinite(report.residual_norm)
+    assert not report.converged
 
 
 def _kkt_gap_q_smooth(op, data, spec, alpha, u):
@@ -599,6 +619,28 @@ def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
         _same_report(got, want)
 
 
+def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
+    # two Jacobian stacks are never alive at once: when a step linearizes,
+    # the previous step's stack (and every view of it) is gone
+    rng = np.random.default_rng(14)
+    op = _batch_operator("toy", rng)
+    spec = PenaltySpec.uniform(1.5, 1.0, op.n)
+    data = rng.standard_normal((3, op.m))
+    cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.02, 0.3)]
+    stacks = []
+    real = solver._linearize
+
+    def recording(*args):
+        assert all(stack() is None for stack in stacks)
+        linear, linear_data = real(*args)
+        stacks.append(weakref.ref(linear.matrices))
+        return linear, linear_data
+
+    monkeypatch.setattr(solver, "_linearize", recording)
+    solver._solve_p2(op, data, spec, cfgs)
+    assert len(stacks) > 1
+
+
 def test_batched_zero_jacobian_row_matches_single():
     # a row whose Jacobian is zero takes the zero-operator exit; the rows
     # around it iterate as if it were not there
@@ -610,14 +652,72 @@ def test_batched_zero_jacobian_row_matches_single():
     start = rng.standard_normal((3, 6))
     # the loop compacts a stack in place, so each call gets its own copy
     stack = solver._JacobianStack(mats.copy())
-    got = solver._forward_backward_p2(stack, data, spec, cfgs, None, start)
+    metric = solver._jacobi_metric(stack, start)
+    got = (*solver._forward_backward_p2(stack, data, spec, cfgs, metric), metric[2])
     assert got[1][1] == 0 and got[2][1] and not got[0][1].any()
     assert got[4][1].tobytes() == start[1].tobytes()
     for b in range(3):
-        want = solver._forward_backward_p2(
-            solver._JacobianStack(mats[b : b + 1].copy()), data[b : b + 1], spec, cfgs[b : b + 1],
-            None, start[b : b + 1],
+        single = solver._JacobianStack(mats[b : b + 1].copy())
+        metric = solver._jacobi_metric(single, start[b : b + 1])
+        want = (
+            *solver._forward_backward_p2(single, data[b : b + 1], spec, cfgs[b : b + 1], metric),
+            metric[2],
         )
         assert got[0][b].tobytes() == want[0][0].tobytes()
         assert (got[1][b], got[2][b], got[3][b]) == (want[1][0], want[2][0], want[3][0])
         assert got[4][b].tobytes() == want[4][0].tobytes()
+
+
+def _matrix(op):
+    """The dense matrix of a linear operator, one unit-vector apply per column."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.n)])
+
+
+def _scaled_norm_sq(k, t):
+    """Top squared singular value of K diag(t)^(1/2)."""
+    return np.linalg.svd(k * np.sqrt(t), compute_uv=False)[0] ** 2
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "convolution"])
+def test_jacobi_metric_matches_svd(kind):
+    rng = np.random.default_rng(21)
+    if kind == "dense":
+        op = make_dense_linear(rng.standard_normal((7, 5)) * [1.0, 1e-3, 5.0, 1.0, 0.2])
+    elif kind == "diagonal":
+        op = make_diagonal_linear(rng.uniform(0.1, 3.0, 5))
+    else:
+        op = make_convolution_linear(rng.standard_normal(3), 5)
+    k = _matrix(op)
+    t, lip, top, zero = solver._jacobi_metric(op)
+    np.testing.assert_allclose(t, 1.0 / (k * k).sum(axis=0), rtol=1e-13)
+    assert lip == pytest.approx(_scaled_norm_sq(k, t), rel=1e-9)
+    assert top.shape == (5,) and not zero
+
+
+def test_jacobi_metric_of_jacobian_stack_per_row():
+    rng = np.random.default_rng(22)
+    mats = rng.standard_normal((2, 6, 4)) * [[1.0, 10.0, 0.1, 1.0]]
+    start = rng.standard_normal((2, 4))
+    t, lip, top, zero = solver._jacobi_metric(solver._JacobianStack(mats.copy()), start)
+    assert t.shape == top.shape == (2, 4) and lip.shape == zero.shape == (2,)
+    assert not zero.any()
+    for b in range(2):
+        np.testing.assert_allclose(t[b], 1.0 / (mats[b] * mats[b]).sum(axis=0), rtol=1e-13)
+        assert lip[b] == pytest.approx(_scaled_norm_sq(mats[b], t[b]), rel=1e-9)
+
+
+def test_jacobi_metric_zero_columns():
+    rng = np.random.default_rng(23)
+    k = rng.standard_normal((6, 4))
+    k[:, 2] = 0.0
+    t, lip, _, zero = solver._jacobi_metric(make_dense_linear(k))
+    # the zero column gets the largest scale of the others
+    assert t[2] == max(t[[0, 1, 3]])
+    assert lip == pytest.approx(_scaled_norm_sq(k, t), rel=1e-9)
+    assert not zero
+    # an all-zero operator is flagged and keeps its start vector as its top
+    mats = np.array([np.zeros((6, 4)), k])
+    start = rng.standard_normal((2, 4))
+    _, _, top, zero = solver._jacobi_metric(solver._JacobianStack(mats.copy()), start)
+    assert zero.tolist() == [True, False]
+    assert top[0].tobytes() == start[0].tobytes()
