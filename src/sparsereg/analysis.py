@@ -25,7 +25,6 @@ from .penalty import (
 )
 
 __all__ = [
-    "SUPPORT_TOL",
     "SourceCertificate",
     "InjectivityReport",
     "RateConstants",
@@ -96,7 +95,9 @@ class RateConstants:
                                      - residual_coeff*||F(u) - F(ref)||
 
     valid on the region penalty(u) < penalty_radius and
-    ||F(u) - F(ref)|| < residual_radius.
+    ||F(u) - F(ref)|| < residual_radius.  A radius of inf leaves the
+    region unbounded in that direction; the JSON artifacts write it as
+    null.
     """
 
     norm_coeff: float

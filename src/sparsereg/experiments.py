@@ -33,6 +33,7 @@ from .solver import SolverConfig, _solve_p2, solve_linear_p1
 
 __all__ = [
     "PROBLEM_KINDS",
+    "CSV_HEADER",
     "ProblemInstance",
     "SweepRow",
     "RateEstimate",

@@ -1,6 +1,7 @@
 """Atomic text-file writes for experiment artifacts."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -27,7 +28,23 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _finite_or_null(value):
+    """value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def atomic_write_json(path, payload) -> None:
-    """Write payload atomically as JSON: indented by 2, keys sorted, and a
-    final newline, the format of every JSON artifact."""
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload atomically as strict JSON: indented by 2, keys sorted,
+    and a final newline, the format of every JSON artifact.
+
+    A non-finite float is written as null (an unbounded radius, say), since
+    strict parsers reject the bare Infinity and NaN tokens.
+    """
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")

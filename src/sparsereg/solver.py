@@ -14,13 +14,13 @@ is bit-identical to solving it alone; a single solve is a batch of one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .operators import ForwardOperator, _matvec, _power_iteration, _power_start, _row_dots
-from .penalty import PenaltySpec, _penalty_value, _prox_power, penalty_value
+from .penalty import PenaltySpec, _penalty_value, _prox_power
 
 __all__ = [
     "SolverConfig",
@@ -66,11 +66,10 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Minimizer with its objective decomposition and iteration diagnostics.
-
-    objective_trace holds the objective after every p = 2 iteration and
-    every accepted nonlinear outer step, but only the initial and final
-    values for p = 1, whose iteration does not use the objective.
+    """The end state of one solve: the minimizer, its objective
+    ||F(u) - v||^p + alpha*R(u) split into the residual norm and the
+    penalty value, the iterations run, and whether the stopping test held
+    with a finite residual and penalty.
     """
 
     minimizer: np.ndarray
@@ -79,7 +78,6 @@ class SolveReport:
     penalty_value: float
     iterations: int
     converged: bool
-    objective_trace: list = field(repr=False, default_factory=list)
 
 
 # cap on the float64 entries of one nonlinear batch's Jacobian stack; a
@@ -87,7 +85,7 @@ class SolveReport:
 _JACOBIAN_STACK_ENTRIES = 1 << 22
 
 
-def _reports(op, data, spec, cfgs, x, iterations, converged, traces) -> list:
+def _reports(op, data, spec, cfgs, x, iterations, converged) -> list:
     """One SolveReport per row of the (B, n) minimizers x.
 
     A row whose residual norm or penalty value is not finite is reported
@@ -104,14 +102,13 @@ def _reports(op, data, spec, cfgs, x, iterations, converged, traces) -> list:
             penalty_value=pen[b],
             iterations=int(iterations[b]),
             converged=bool(converged[b]) and math.isfinite(resid[b]) and math.isfinite(pen[b]),
-            objective_trace=traces[b],
         )
         for b, cfg in enumerate(cfgs)
     ]
 
 
-def _report(op, data, spec, cfg, u, iterations, converged, trace) -> SolveReport:
-    return _reports(op, data[None], spec, [cfg], u[None], [iterations], [converged], [trace])[0]
+def _report(op, data, spec, cfg, u, iterations, converged) -> SolveReport:
+    return _reports(op, data[None], spec, [cfg], u[None], [iterations], [converged])[0]
 
 
 def _objective(u, image, data, alpha, spec):
@@ -187,7 +184,7 @@ def solve_linear_p2(
     steps by s*t_j/L, and its prox threshold is that step times
     alpha*w_j/2.  A monotone restart discards the accelerated candidate
     whenever it would increase the objective, falling back to a plain
-    step, which keeps the recorded objective trace nonincreasing.
+    step, which keeps the objective of the iterates nonincreasing.
     """
     if not op.is_linear:
         raise ValueError("this solver handles linear operators only")
@@ -244,16 +241,15 @@ def _kept_rows(done):
     return order
 
 
-def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None, traced=True):
+def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None):
     """solve_linear_p2 on checked (B, m) data, one config per row.
 
     `op` takes (B, n) rows: one linear operator shared by every row, or a
     _JacobianStack with one matrix per row, which the loop compacts in
     place as rows stop.  `metric` is `_jacobi_metric(op)`.  Each row has
-    its own momentum, restarts, stopping test, iteration count and
-    objective trace; when it stops, its row is compacted out of the
-    working arrays.  Returns the (B, n) minimizers, iteration counts,
-    convergence flags and objective traces (None unless traced).  The loop
+    its own momentum, restarts, stopping test and iteration count; when it
+    stops, its row is compacted out of the working arrays.  Returns the
+    (B, n) minimizers, iteration counts and convergence flags.  The loop
     carries the image K u of each iterate next to it: since K is linear,
     the extrapolated point's image is the same combination of the images,
     so each forward-backward step makes one apply (of its result, which
@@ -264,7 +260,6 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None, traced=True):
     x = np.zeros((rows, n)) if u0 is None else u0.copy()
     x_image = op.apply(x)
     obj = _objective(x, x_image, data, alpha, spec)
-    traces = [[value] for value in obj.tolist()] if traced else None
     out = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
     converged = np.zeros(rows, dtype=bool)
@@ -273,11 +268,6 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None, traced=True):
     # zero operator: the penalty alone drives every coefficient to zero
     dead = np.flatnonzero(zero)
     converged[dead] = True
-    if dead.size and traced:
-        zeros = np.zeros((dead.size, n))
-        final = _objective(zeros, op._rows(dead).apply(zeros), data[dead], alpha[dead], spec)
-        for b, value in zip(dead.tolist(), final.tolist()):
-            traces[b].append(value)
     live = np.flatnonzero(~zero)
     step = (_STEP_SAFETY / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
     part = _LiveRows(
@@ -319,9 +309,6 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None, traced=True):
         shift = cand - x
         shift = np.sqrt(_row_dots(shift, shift))
         x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
-        if traced:
-            for b, value in zip(live.tolist(), obj.tolist()):
-                traces[b].append(value)
         stop = shift <= part.tol * (1.0 + np.sqrt(_row_dots(x, x)))
         done = stop | (iteration >= part.max_iter)
         if done.any():
@@ -332,7 +319,7 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None, traced=True):
             x, x_image, y, y_image, obj, momentum = (
                 v[keep] for v in (x, x_image, y, y_image, obj, momentum)
             )
-    return out, iterations, converged, traces
+    return out, iterations, converged
 
 
 def solve_linear_p1(
@@ -362,20 +349,15 @@ def solve_linear_p1(
         raise ValueError("this solver handles linear operators only")
     data = _check(op, np.asarray(data)[None], spec, [cfg], 1)[0]
 
-    def objective(u):
-        return float(np.linalg.norm(op.apply(u) - data)) + cfg.alpha * penalty_value(u, spec)
-
     def norm(v):
         # np.linalg.norm of a real vector is sqrt(v @ v), without its overhead
         return math.sqrt(float(v @ v))
 
-    x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
-    trace = [objective(x)]
     t, lip, _, zero = _jacobi_metric(op)
     if zero:
         # zero operator: the penalty alone drives every coefficient to zero
-        u = np.zeros(op.n)
-        return _report(op, data, spec, cfg, u, 0, True, trace + [objective(u)])
+        return _report(op, data, spec, cfg, np.zeros(op.n), 0, True)
+    x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     sigma = _STEP_SAFETY / np.sqrt(lip)
     tau = sigma * t
     thresh = tau * cfg.alpha * spec.weights
@@ -396,9 +378,7 @@ def solve_linear_p1(
         if primal_shift <= cfg.tol * (1.0 + norm(x)) and dual_shift <= cfg.tol * (1.0 + norm(y)):
             converged = True
             break
-    report = _report(op, data, spec, cfg, x, iterations, converged, trace)
-    report.objective_trace.append(report.objective)
-    return report
+    return _report(op, data, spec, cfg, x, iterations, converged)
 
 
 class _JacobianStack(ForwardOperator):
@@ -485,7 +465,6 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
     u = np.zeros((rows, n)) if u0 is None else u0.copy()
     live = np.arange(rows)
     obj = objective(live, u)
-    traces = [[value] for value in obj.tolist()]
     # normalizing the seeded vector is the power iteration's own cold start
     top = np.tile(_power_start(n), (rows, 1))
     iterations = np.zeros(rows, dtype=np.int64)
@@ -498,7 +477,7 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
         metric = _jacobi_metric(jacobians, top[live])
         top[live] = metric[2]
         x = _forward_backward_p2(
-            jacobians, linear_data, spec, [cfgs[b] for b in live], metric, base, traced=False
+            jacobians, linear_data, spec, [cfgs[b] for b in live], metric, base
         )[0]
         # the Jacobian stack is not kept, so it is freed before the next
         # step allocates its own
@@ -521,10 +500,8 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
         shift = np.sqrt(_row_dots(shift, shift))
         moved = live[~stuck]
         u[moved], obj[moved] = cand[~stuck], cand_obj[~stuck]
-        for b, value in zip(moved.tolist(), cand_obj[~stuck].tolist()):
-            traces[b].append(value)
         now = u[live]
         stop = stuck | (shift <= tol[live] * (1.0 + np.sqrt(_row_dots(now, now))))
         iterations[live], converged[live] = iteration, stop
         live = live[~stop & (iteration < max_iter[live])]
-    return _reports(op, data, spec, cfgs, u, iterations, converged, traces)
+    return _reports(op, data, spec, cfgs, u, iterations, converged)

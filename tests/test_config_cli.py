@@ -17,6 +17,7 @@ from sparsereg.config import (
     parse_config,
     serialize_config,
 )
+from sparsereg.fileio import atomic_write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -397,6 +398,34 @@ def test_cli_no_stray_temp_files(tmp_path):
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["rate.json", "rate.svg", "sweep.csv"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_cli_json_artifacts_are_strict(tmp_path):
+    # these three commands hit an unbounded rate-constant radius, which
+    # must come out as null, not as the bare token Infinity
+    runs = [("sweep", "q15_diagonal"), ("check", "q1_diagonal"), ("solve", "p1_exact")]
+    for command, name in runs:
+        config = str(ROOT / "configs" / f"{name}.cfg")
+        assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    assert [str(path.relative_to(tmp_path)) for path in written] == [
+        "check/check.json", "solve/report.json", "sweep/rate.json",
+    ]
+    payloads = [json.loads(path.read_text(), parse_constant=_reject_constant) for path in written]
+    assert payloads[0]["constants"]["penalty_radius"] is None
+    assert payloads[2]["constants"]["penalty_radius"] is None
+
+
+def test_atomic_write_json_writes_non_finite_as_null(tmp_path):
+    path = tmp_path / "a.json"
+    payload = {"a": [np.inf, 1.5, (-np.inf, float("nan"))], "b": {"c": np.float64(np.nan)}}
+    atomic_write_json(path, payload)
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload == {"a": [None, 1.5, [None, None]], "b": {"c": None}}
 
 
 def test_cli_sweep_setup_does_not_import_numpy_ma(tmp_path):
