@@ -10,7 +10,7 @@ operators, validates them by sampling, and evaluates the closed-form
 error and residual bounds they imply.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,9 @@ __all__ = [
 SUPPORT_TOL = 1e-12
 
 _CERT_TOL = 1e-8
+
+# data-shift radius of the region where the sparse q > 1 constants hold
+_RESIDUAL_RADIUS = 1.0
 
 # the sampled checks draw and evaluate their perturbations in chunks of rows
 # whose coefficient and data arrays hold at most this many float64 entries
@@ -77,15 +80,6 @@ class InjectivityReport:
     def injective(self) -> bool:
         return self.smallest_singular_value > self.rank_cutoff
 
-    def to_dict(self) -> dict:
-        return {
-            "support": self.support.tolist(),
-            "smallest_singular_value": self.smallest_singular_value,
-            "injectivity_constant": self.injectivity_constant,
-            "rank_cutoff": self.rank_cutoff,
-            "injective": self.injective,
-        }
-
 
 @dataclass(frozen=True)
 class RateConstants:
@@ -107,16 +101,6 @@ class RateConstants:
     residual_radius: float
     validated: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "norm_coeff": self.norm_coeff,
-            "residual_coeff": self.residual_coeff,
-            "exponent": self.exponent,
-            "penalty_radius": self.penalty_radius,
-            "residual_radius": self.residual_radius,
-            "validated": self.validated,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -136,15 +120,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return self.n_in_region > 0 and self.n_violations == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_in_region": self.n_in_region,
-            "n_violations": self.n_violations,
-            "worst_slack": self.worst_slack,
-            "passed": self.passed,
-        }
 
 
 def derivative_matrix(op: ForwardOperator, at) -> np.ndarray:
@@ -312,20 +287,22 @@ def _constants_quadratic(op, u_dagger, spec, cert) -> RateConstants:
     )
 
 
-def _constants_sparse_q(op, u_dagger, spec, cert, residual_radius) -> RateConstants:
+def _constants_sparse_q(op, u_dagger, spec, cert) -> RateConstants:
     # sparse construction for q > 1: split the error into support and
     # off-support parts; the support part is controlled through the
     # injectivity constant, the off-support part through the penalty gap
     c = _inverse_bound(op, u_dagger, _support(u_dagger), "support")
     op_norm = np.sqrt(operator_norm_sq(op, u_dagger))
     norm_coeff = spec.w_min / (2.0 * (1.0 + 2.0 * c**spec.q * op_norm**spec.q))
-    residual_coeff = cert.source_norm + 4.0 * c**spec.q * residual_radius ** (spec.q - 1.0) * norm_coeff
+    residual_coeff = (
+        cert.source_norm + 4.0 * c**spec.q * _RESIDUAL_RADIUS ** (spec.q - 1.0) * norm_coeff
+    )
     return RateConstants(
         norm_coeff=norm_coeff,
         residual_coeff=residual_coeff,
         exponent=spec.q,
         penalty_radius=np.inf,
-        residual_radius=residual_radius,
+        residual_radius=_RESIDUAL_RADIUS,
         validated=False,
     )
 
@@ -338,11 +315,8 @@ def _constants_sparse_1(op, u_dagger, spec, cert) -> RateConstants:
     big = np.flatnonzero(np.abs(xi) >= spec.w_min * (1.0 - 1e-12))
     c = _inverse_bound(op, u_dagger, big, "certificate")
     off = np.delete(np.arange(op.n), big)
+    # big takes every entry that reaches w_min, so margin_top < w_min (or NaN)
     margin_top = float(np.max(np.abs(xi[off]))) if off.size else 0.0
-    if margin_top >= spec.w_min:
-        raise ValueError(
-            "certificate has no margin below the minimal weight off the support"
-        )
     op_norm = np.sqrt(operator_norm_sq(op, u_dagger))
     norm_coeff = (spec.w_min - margin_top) / (1.0 + c * op_norm)
     return RateConstants(
@@ -434,7 +408,6 @@ def estimate_rate_constants(
     n_samples: int = 1000,
     radius: float = 0.1,
     seed: int = 0,
-    residual_radius: float = 1.0,
     validate: bool = True,
 ) -> RateConstants:
     """Growth-inequality coefficients for a linear operator, by construction.
@@ -463,7 +436,7 @@ def estimate_rate_constants(
     elif abs(exponent - spec.q) <= 1e-12 and sparse:
         if spec.q <= 1.0:
             raise ValueError("the sparse q-exponent construction requires q > 1")
-        constants = _constants_sparse_q(op, u_dagger, spec, cert, residual_radius)
+        constants = _constants_sparse_q(op, u_dagger, spec, cert)
     elif exponent == 2.0 and spec.q > 1.0:
         constants = _constants_quadratic(op, u_dagger, spec, cert)
     else:
@@ -561,8 +534,12 @@ def check_sparse_rate_conditions(
             "source_norm": cert.source_norm,
         }
     inj = check_support_injectivity(op, u_dagger)
-    report["support_injectivity"] = inj.to_dict()
-    report["support_injectivity"]["passed"] = inj.injective
+    report["support_injectivity"] = {
+        **asdict(inj),
+        "support": inj.support.tolist(),
+        "injective": inj.injective,
+        "passed": inj.injective,
+    }
     checks = [report["sparse"], cert is not None, inj.injective]
     if op.is_linear and spec.q == 1.0 and cert is not None:
         off = np.delete(np.arange(op.n), support)

@@ -1,5 +1,10 @@
 """Command-line front end: single solves, noise sweeps, condition checks.
 
+`check` and `sweep` share one hypothesis stage: the conditions and rate
+constants in a sweep's rate.json are the "checks" and "constants" that
+`check` writes to check.json for the same config, less the latter's
+"passed" flag.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence or insufficient data for the rate fit, 3 condition-check
 failure.  All artifacts are written atomically (temp file then rename).
@@ -8,6 +13,7 @@ failure.  All artifacts are written atomically (temp file then rename).
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -82,6 +88,27 @@ def _solve_alpha(cfg: ExperimentConfig, delta: float) -> float:
     raise ConfigError("solver.alpha: required for a noise-free solve with p = 2")
 
 
+def _hypotheses(instance, cert, q: float):
+    """check.json's payload for an instance and its validated rate constants
+    (None if there are none); cert is its source certificate, or None."""
+    op, u_dagger, spec = instance.operator, instance.u_dagger, instance.spec
+    checks = check_sparse_rate_conditions(op, u_dagger, spec, cert)
+    constants = None
+    if not op.is_linear:
+        # explicit constant constructions cover linear operators; the
+        # sampled linearization check stands in for nonlinear ones
+        entry = {"applicable": False}
+    else:
+        try:
+            constants = estimate_rate_constants(op, u_dagger, spec, cert, q)
+        except ValueError as exc:
+            entry = {"passed": False, "error": str(exc)}
+        else:
+            entry = {**asdict(constants), "passed": True}
+    passed = bool(checks["passed"] and entry.get("passed", True))
+    return {"checks": checks, "constants": entry, "passed": passed}, constants
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
     delta = args.delta if args.delta is not None else 0.0
@@ -138,22 +165,10 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # validate=True attached the certificate that every stage below uses
-    op, u_dagger, spec, cert = (
-        instance.operator, instance.u_dagger, instance.spec, instance.certificate
-    )
-    constants = None
-    try:
-        constants = estimate_rate_constants(op, u_dagger, spec, cert, cfg.q)
-    except ValueError:
-        # sweep is still meaningful without validated constants; the rate
-        # sidecar just carries null bounds
-        pass
-    if (
-        instance.p == 1
-        and constants is not None
-        and cfg.c_alpha * constants.residual_coeff >= 1.0
-    ):
+    # validate=True attached the certificate; without validated constants
+    # the sweep still runs, and its rows carry NaN bounds
+    hypotheses, constants = _hypotheses(instance, instance.certificate, cfg.q)
+    if instance.p == 1 and constants is not None and cfg.c_alpha * constants.residual_coeff >= 1.0:
         raise ConfigError(
             f"sweep.c_alpha: p = 1 bounds need c_alpha * residual_coeff < 1, got "
             f"{cfg.c_alpha * constants.residual_coeff:.6g}"
@@ -177,9 +192,8 @@ def cmd_sweep(args) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    conditions = check_sparse_rate_conditions(op, u_dagger, spec, cert)
     write_sweep_csv(result, _out_path(cfg, "sweep.csv"))
-    write_rate_json(result, _out_path(cfg, "rate.json"), conditions=conditions)
+    write_rate_json(result, _out_path(cfg, "rate.json"), conditions=hypotheses["checks"])
 
     by_delta: dict = {}
     for row in result.rows:
@@ -209,46 +223,23 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    op, u_dagger, spec = instance.operator, instance.u_dagger, instance.spec
     # validate=False keeps a failing instance to report on, so the one
     # certificate computation is here
-    cert = check_source_condition(op, u_dagger, spec)
-    report = check_sparse_rate_conditions(op, u_dagger, spec, cert)
-    constants_entry: dict
-    if op.is_linear:
-        try:
-            constants = estimate_rate_constants(op, u_dagger, spec, cert, cfg.q)
-            constants_entry = constants.to_dict()
-            constants_entry["passed"] = True
-        except ValueError as exc:
-            constants_entry = {"passed": False, "error": str(exc)}
-        constants_ok = bool(constants_entry["passed"])
-    else:
-        # explicit constant constructions cover linear operators; the
-        # sampled linearization check above stands in for nonlinear ones
-        constants_entry = {"applicable": False}
-        constants_ok = True
-    passed = bool(report["passed"] and constants_ok)
-
-    payload = {"checks": report, "constants": constants_entry, "passed": passed}
+    cert = check_source_condition(instance.operator, instance.u_dagger, instance.spec)
+    payload, _ = _hypotheses(instance, cert, cfg.q)
     atomic_write_json(_out_path(cfg, "check.json"), payload)
 
-    for name in (
-        "source_condition",
-        "support_injectivity",
-        "off_support_margin",
-        "linearization_inequality",
-    ):
-        if name in report:
-            status = "pass" if report[name]["passed"] else "FAIL"
-            print(f"{name}: {status}")
-    print(f"sparse reference: {'pass' if report['sparse'] else 'FAIL'}")
-    if constants_entry.get("applicable", True):
-        print(f"rate constants: {'pass' if constants_entry['passed'] else 'FAIL'}")
+    checks, constants = payload["checks"], payload["constants"]
+    for name, entry in checks.items():
+        if isinstance(entry, dict):  # one entry per checked stage
+            print(f"{name}: {'pass' if entry['passed'] else 'FAIL'}")
+    print(f"sparse reference: {'pass' if checks['sparse'] else 'FAIL'}")
+    if constants.get("applicable", True):
+        print(f"rate constants: {'pass' if constants['passed'] else 'FAIL'}")
     else:
         print("rate constants: not applicable (nonlinear operator)")
-    print(f"overall: {'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_CONDITIONS
+    print(f"overall: {'pass' if payload['passed'] else 'FAIL'}")
+    return EXIT_OK if payload["passed"] else EXIT_CONDITIONS
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -7,7 +7,7 @@ log-log slope of error against noise, which is the quantity the rate
 theory predicts.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,8 +57,6 @@ SQUARE_KINDS = ("diagonal", "convolution")
 # fit_rate needs this many usable noise levels for a meaningful slope
 MIN_RATE_LEVELS = 4
 
-CSV_HEADER = "delta,alpha,trial,error_norm,residual_norm,err_bound,residual_bound,iterations,converged"
-
 
 @dataclass
 class ProblemInstance:
@@ -88,6 +86,10 @@ class SweepRow:
     converged: bool
 
 
+# sweep.csv has one column per SweepRow field, in field order
+CSV_HEADER = ",".join(column.name for column in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Least-squares slope of log(error) against log(noise level)."""
@@ -96,14 +98,6 @@ class RateEstimate:
     intercept: float
     r_squared: float
     n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-        }
 
 
 @dataclass
@@ -476,33 +470,27 @@ def exact_recovery_test(
     )
 
 
+def _csv_cell(kind, value) -> str:
+    """One sweep.csv cell: floats round-trip through repr, bools are 1 or 0."""
+    if kind is bool:
+        return "1" if value else "0"
+    return str(int(value)) if kind is int else repr(float(value))
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """Write sweep rows in the fixed column order with round-trip floats."""
+    """Write sweep rows in the CSV_HEADER column order, each cell by its field type."""
+    columns = fields(SweepRow)
     lines = [CSV_HEADER]
     for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(row.delta)),
-                    repr(float(row.alpha)),
-                    str(int(row.trial)),
-                    repr(float(row.error_norm)),
-                    repr(float(row.residual_norm)),
-                    repr(float(row.err_bound)),
-                    repr(float(row.residual_bound)),
-                    str(int(row.iterations)),
-                    "1" if row.converged else "0",
-                ]
-            )
-        )
+        lines.append(",".join(_csv_cell(c.type, getattr(row, c.name)) for c in columns))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_rate_json(result: SweepResult, path, conditions: Optional[dict] = None) -> None:
     """JSON sidecar with the fitted rate, constants, and condition reports."""
     payload = {
-        "rate": result.rate.to_dict(),
-        "constants": result.constants.to_dict() if result.constants else None,
+        "rate": asdict(result.rate),
+        "constants": asdict(result.constants) if result.constants else None,
         "conditions": conditions,
         "n_rows": len(result.rows),
     }

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_validation_without_in_region_sample_fails():
     assert report.n_violations == 0
     assert report.worst_slack == np.inf
     assert not report.passed
-    assert report.to_dict()["passed"] is False
+    assert report.passed is False
     # the quadratic construction's region ends one weight above the
     # reference penalty, which no sample at radius 10 stays below
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
@@ -446,7 +447,7 @@ def test_validation_bit_identical_to_one_sample_at_a_time(n, q, exponent, n_samp
     u[[0, 3, 8]] = [1.0, -0.7, 1.2]
     cert = check_source_condition(op, u, spec)
     honest = estimate_rate_constants(op, u, spec, cert, exponent, validate=False)
-    fields = honest.to_dict()
+    fields = asdict(honest)
     fields.update(stressed)
     for constants in (honest, RateConstants(**fields)):
         for seed in (0, 5):

@@ -364,6 +364,24 @@ def test_cli_check_reference_configs(tmp_path, capsys):
     assert payload["constants"] == {"applicable": False}
 
 
+@pytest.mark.parametrize("name", ["q1_diagonal", "nonlinear_toy"])
+def test_cli_sweep_and_check_report_the_same_hypotheses(tmp_path, name):
+    config = str(ROOT / "configs" / f"{name}.cfg")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["check", "--config", config, "--out", str(tmp_path / "check")]) == 0
+    rate = json.loads((tmp_path / "sweep" / "rate.json").read_text())
+    check = json.loads((tmp_path / "check" / "check.json").read_text())
+    assert rate["conditions"] == check["checks"]
+    if name == "nonlinear_toy":
+        # no explicit constants for a nonlinear operator
+        assert rate["constants"] is None
+        assert check["constants"] == {"applicable": False}
+    else:
+        constants = dict(check["constants"])
+        assert constants.pop("passed") is True
+        assert rate["constants"] == constants
+
+
 def test_cli_check_rank_deficient_support(tmp_path, capsys):
     # duplicate columns under the support make the restricted operator
     # singular, which the check must flag

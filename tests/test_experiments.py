@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from sparsereg import experiments
-from sparsereg.analysis import check_source_condition, estimate_rate_constants
+from sparsereg.analysis import RateConstants, check_source_condition, estimate_rate_constants
 from sparsereg.experiments import (
     CSV_HEADER,
+    RateEstimate,
+    SweepResult,
+    SweepRow,
     add_noise,
     alpha_rule,
     exact_recovery_test,
@@ -250,3 +253,53 @@ def test_csv_and_json_artifacts(tmp_path):
     assert payload["constants"]["validated"] is True
     assert payload["conditions"] == {"passed": True}
     assert payload["n_rows"] == len(result.rows)
+
+
+def test_sweep_writers_golden_text(tmp_path):
+    # one hand-built row pins the bytes of both writers: floats by repr
+    # (nan and inf included), the int and bool fields by their declared
+    # type even when NumPy scalars hold them, and sorted strict JSON with
+    # the unbounded radius as null
+    row = SweepRow(
+        delta=0.1, alpha=0.01, trial=2, error_norm=0.25, residual_norm=1.0 / 3.0,
+        err_bound=float("nan"), residual_bound=np.inf,
+        iterations=np.int64(17), converged=np.bool_(True),
+    )
+    result = SweepResult(
+        rows=[row],
+        rate=RateEstimate(slope=1.0, intercept=-0.5, r_squared=0.99, n_points=4),
+        constants=RateConstants(
+            norm_coeff=0.5, residual_coeff=2.0, exponent=1.5,
+            penalty_radius=np.inf, residual_radius=1.0, validated=True,
+        ),
+    )
+    write_sweep_csv(result, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text() == (
+        "delta,alpha,trial,error_norm,residual_norm,err_bound,residual_bound,"
+        "iterations,converged\n"
+        "0.1,0.01,2,0.25,0.3333333333333333,nan,inf,17,1\n"
+    )
+    write_rate_json(result, tmp_path / "rate.json", conditions={"sparse": True, "passed": False})
+    assert (tmp_path / "rate.json").read_text() == """\
+{
+  "conditions": {
+    "passed": false,
+    "sparse": true
+  },
+  "constants": {
+    "exponent": 1.5,
+    "norm_coeff": 0.5,
+    "penalty_radius": null,
+    "residual_coeff": 2.0,
+    "residual_radius": 1.0,
+    "validated": true
+  },
+  "n_rows": 1,
+  "rate": {
+    "intercept": -0.5,
+    "n_points": 4,
+    "r_squared": 0.99,
+    "slope": 1.0
+  }
+}
+"""
