@@ -162,8 +162,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             )
         if any(w <= 0 for w in cfg.weights):
             fail("weights.values", "all entries must be positive")
-    if cfg.delta_min <= 0 or cfg.delta_max <= 0:
-        fail("sweep.delta_min", "noise levels must be positive")
+    if cfg.delta_min <= 0:
+        fail("sweep.delta_min", f"noise levels must be positive, got {cfg.delta_min}")
+    if cfg.delta_max <= 0:
+        fail("sweep.delta_max", f"noise levels must be positive, got {cfg.delta_max}")
     if cfg.delta_min >= cfg.delta_max:
         fail(
             "sweep.delta_min",

@@ -139,6 +139,19 @@ def _draw_reference(rng, n: int, sparsity: int, positions=None) -> np.ndarray:
 
 
 def _build_operator(kind, n, m, rng, decay, kernel_width, eps, matrix_path):
+    # m is None when the caller left it unset: the csv matrix then sets it,
+    # and the other kinds take m = n
+    if kind == "csv":
+        if matrix_path is None:
+            raise ValueError("kind 'csv' requires matrix_path")
+        matrix = load_matrix_csv(matrix_path)
+        rows, cols = matrix.shape
+        if cols != n:
+            raise ValueError(f"matrix file {matrix_path} has {cols} columns, but n={n}")
+        if m is not None and rows != m:
+            raise ValueError(f"matrix file {matrix_path} has {rows} rows, but m={m}")
+        return make_dense_linear(matrix)
+    m = n if m is None else m
     if kind == "diagonal":
         return make_diagonal_linear((np.arange(n) + 1.0) ** (-decay))
     if kind == "convolution":
@@ -157,10 +170,6 @@ def _build_operator(kind, n, m, rng, decay, kernel_width, eps, matrix_path):
         a = rng.standard_normal((m, n)) / np.sqrt(m)
         b = rng.standard_normal((m, n)) / np.sqrt(m)
         return make_toy_nonlinear(a, b, eps)
-    if kind == "csv":
-        if matrix_path is None:
-            raise ValueError("kind 'csv' requires matrix_path")
-        return make_dense_linear(load_matrix_csv(matrix_path))
     raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
 
 
@@ -194,9 +203,7 @@ def generate_problem(
     """
     if sparsity > n:
         raise ValueError(f"sparsity {sparsity} exceeds dimension {n}")
-    if m is None:
-        m = n
-    elif kind in SQUARE_KINDS and m != n:
+    if m is not None and kind in SQUARE_KINDS and m != n:
         raise ValueError(f"kind {kind!r} is square, so m must equal n={n}, got {m}")
     if weights is None:
         spec = PenaltySpec.uniform(q, weight, n)
@@ -232,7 +239,7 @@ def generate_problem(
         instance.certificate = cert
         return instance
     raise ValueError(
-        f"could not generate a valid {kind!r} instance with n={n}, m={m}, "
+        f"could not generate a valid {kind!r} instance with n={n}, m={op.m}, "
         f"sparsity={sparsity}, q={q} after 10 attempts: {last_failure}"
     )
 

@@ -160,14 +160,17 @@ class ForwardOperator(ABC):
 
 
 class _DenseLinear(ForwardOperator):
+    """Linear operator held as an (m, n) matrix, or as a (B, m, n) stack of
+    matrices that acts on (B, n) rows, row b through matrix b.
+
+    The stacked products are those of _matvec, so each row is bit-identical
+    to acting with its own matrix alone.  The matrix is taken as given:
+    make_dense_linear checks a matrix from outside.
+    """
+
     def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=np.float64)
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError(f"matrix must be 2-d and nonempty, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        self.matrix = a
-        self._m, self._n = a.shape
+        self.matrix = matrix
+        self._m, self._n = matrix.shape[-2:]
         self._linear = True
 
     def apply(self, u):
@@ -177,13 +180,22 @@ class _DenseLinear(ForwardOperator):
         return _matvec(self.matrix, _as_rows(h, self._n, "direction"))
 
     def derivative_adjoint_apply(self, u, y):
-        return _matvec(self.matrix.T, _as_rows(y, self._m, "data vector"))
+        return _matvec(np.swapaxes(self.matrix, -1, -2), _as_rows(y, self._m, "data vector"))
 
     def column_norms_sq(self):
-        return np.einsum("ij,ij->j", self.matrix, self.matrix)
+        return np.einsum("...ij,...ij->...j", self.matrix, self.matrix)
 
     def derivative_columns(self, at, columns):
-        return self.matrix[:, np.asarray(columns, dtype=np.intp)]
+        return self.matrix[..., np.asarray(columns, dtype=np.intp)]
+
+    def _rows(self, keep, in_place=False):
+        if self.matrix.ndim == 2:
+            return self
+        if not in_place:
+            return _DenseLinear(self.matrix[keep])
+        moved = np.flatnonzero(keep != np.arange(keep.size))
+        self.matrix[moved] = self.matrix[keep[moved]]
+        return _DenseLinear(self.matrix[: keep.size])
 
 
 class _DiagonalLinear(ForwardOperator):
@@ -309,8 +321,17 @@ class _ToyNonlinear(ForwardOperator):
 
 
 def make_dense_linear(matrix) -> ForwardOperator:
-    """Linear operator given by an explicit m-by-n matrix."""
-    return _DenseLinear(matrix)
+    """Linear operator given by an explicit m-by-n matrix.
+
+    The matrix must be 2-d, nonempty and finite; a stack of matrices is
+    built only inside the package, by the Gauss-Newton solver.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"matrix must be 2-d and nonempty, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return _DenseLinear(a)
 
 
 def make_diagonal_linear(singular_values) -> ForwardOperator:

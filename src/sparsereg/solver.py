@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import ForwardOperator, _matvec, _power_iteration, _power_start, _row_dots
+from .operators import ForwardOperator, _DenseLinear, _power_iteration, _power_start, _row_dots
 from .penalty import PenaltySpec, _penalty_value, _prox_power
 
 __all__ = [
@@ -146,8 +146,8 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     eigenvector, such as the previous Gauss-Newton step's, warm-starts it.
     Returns (t, L, top eigenvector, zero), where zero flags an operator
     whose every column is zero; the solvers do not iterate on it, its t
-    and L are placeholders and its top is `start`.  A _JacobianStack gets
-    one of each per matrix, and needs a (B, n) `start`.
+    and L are placeholders and its top is `start`.  A _DenseLinear stack
+    of matrices gets one of each per matrix, and needs a (B, n) `start`.
     """
     with np.errstate(divide="ignore"):
         t = 1.0 / op.column_norms_sq()
@@ -245,7 +245,7 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None):
     """solve_linear_p2 on checked (B, m) data, one config per row.
 
     `op` takes (B, n) rows: one linear operator shared by every row, or a
-    _JacobianStack with one matrix per row, which the loop compacts in
+    _DenseLinear stack with one matrix per row, which the loop compacts in
     place as rows stop.  `metric` is `_jacobi_metric(op)`.  Each row has
     its own momentum, restarts, stopping test and iteration count; when it
     stops, its row is compacted out of the working arrays.  Returns the
@@ -381,38 +381,6 @@ def solve_linear_p1(
     return _report(op, data, spec, cfg, x, iterations, converged)
 
 
-class _JacobianStack(ForwardOperator):
-    """Linear operators K_b stored as a (B, m, n) stack, one per batch row.
-
-    Row b of a (B, n) input goes through K_b; each product is the stacked
-    matrix-vector product of operators._matvec, bit-identical to K_b's own.
-    """
-
-    def __init__(self, matrices: np.ndarray):
-        self.matrices = matrices
-        self._m, self._n = matrices.shape[1:]
-        self._linear = True
-
-    def apply(self, u):
-        return _matvec(self.matrices, u)
-
-    def derivative_apply(self, u, h):
-        return _matvec(self.matrices, h)
-
-    def derivative_adjoint_apply(self, u, y):
-        return _matvec(self.matrices.transpose(0, 2, 1), y)
-
-    def column_norms_sq(self):
-        return np.einsum("bij,bij->bj", self.matrices, self.matrices)
-
-    def _rows(self, keep, in_place=False):
-        if not in_place:
-            return _JacobianStack(self.matrices[keep])
-        moved = np.flatnonzero(keep != np.arange(keep.size))
-        self.matrices[moved] = self.matrices[keep[moved]]
-        return _JacobianStack(self.matrices[: keep.size])
-
-
 def solve_nonlinear(
     op: ForwardOperator,
     data,
@@ -444,7 +412,7 @@ def _linearize(op, base, data):
         jacobian[...] = op.derivative_columns(u, range(op.n))
     if not np.all(np.isfinite(jacobians)):
         raise ValueError("matrix entries must be finite")
-    linear = _JacobianStack(jacobians)
+    linear = _DenseLinear(jacobians)
     return linear, data - op.apply(base) + linear.apply(base)
 
 
@@ -452,7 +420,7 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
     """solve_nonlinear on checked (B, m) data, one config per row.
 
     The rows take their Gauss-Newton steps in lockstep: each step stacks
-    the rows' Jacobians into one _JacobianStack, solves every linearized
+    the rows' Jacobians into one _DenseLinear stack, solves every linearized
     problem in one batched inner solve, and halves each row's step on its
     own.  A row leaves the batch when it stops.
     """

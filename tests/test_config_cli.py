@@ -77,6 +77,9 @@ def test_config_diagnostics_name_fields():
         parse_config("[problem]\nn = 4\n[weights]\nmode = explicit\nvalues = 1.0,2.0\n")
     with pytest.raises(ConfigError, match="sweep.delta_min"):
         parse_config("[sweep]\ndelta_min = 0.5\ndelta_max = 0.1\n")
+    for bad in ("-1", "0"):
+        with pytest.raises(ConfigError, match="sweep.delta_max"):
+            parse_config(f"[sweep]\ndelta_max = {bad}\n")
 
 
 def _write(path, text):
@@ -409,6 +412,25 @@ positions = 0,1
     payload = json.loads((tmp_path / "o" / "check.json").read_text())
     assert payload["passed"] is False
     assert payload["checks"]["support_injectivity"]["passed"] is False
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "solve"])
+@pytest.mark.parametrize(
+    "sizes, field", [("n = 5", "n=5"), ("n = 4\nm = 7", "m=7")], ids=["columns", "rows"]
+)
+def test_cli_csv_shape_must_match_config(tmp_path, capsys, command, sizes, field):
+    # a 6x4 matrix file against n = 5 (or m = 7) is a config error that
+    # names the field, for every command
+    matrix = tmp_path / "mat.csv"
+    np.savetxt(matrix, np.random.default_rng(0).standard_normal((6, 4)), delimiter=",")
+    cfg = _write(
+        tmp_path / "shape.cfg",
+        f"[problem]\nkind = csv\n{sizes}\nsparsity = 2\nmatrix_path = {matrix}\n"
+        "[solver]\nalpha = 0.1\n",
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
 
 
 def test_cli_no_stray_temp_files(tmp_path):

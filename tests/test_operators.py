@@ -47,6 +47,9 @@ def test_dense_validation():
         make_dense_linear(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         make_dense_linear(np.array([1.0, 2.0]))
+    # a stack of matrices is the solver's own, not an operator from outside
+    with pytest.raises(ValueError, match="2-d"):
+        make_dense_linear(np.ones((2, 3, 3)))
     with pytest.raises(ValueError):
         make_dense_linear(np.array([[np.inf, 1.0]]))
     op = make_dense_linear(np.eye(3))

@@ -645,7 +645,7 @@ def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
     def recording(*args):
         assert all(stack() is None for stack in stacks)
         linear, linear_data = real(*args)
-        stacks.append(weakref.ref(linear.matrices))
+        stacks.append(weakref.ref(linear.matrix))
         return linear, linear_data
 
     monkeypatch.setattr(solver, "_linearize", recording)
@@ -663,13 +663,13 @@ def test_batched_zero_jacobian_row_matches_single():
     cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.2, 0.05)]
     start = rng.standard_normal((3, 6))
     # the loop compacts a stack in place, so each call gets its own copy
-    stack = solver._JacobianStack(mats.copy())
+    stack = _DenseLinear(mats.copy())
     metric = solver._jacobi_metric(stack, start)
     got = (*solver._forward_backward_p2(stack, data, spec, cfgs, metric), metric[2])
     assert got[1][1] == 0 and got[2][1] and not got[0][1].any()
     assert got[3][1].tobytes() == start[1].tobytes()
     for b in range(3):
-        single = solver._JacobianStack(mats[b : b + 1].copy())
+        single = _DenseLinear(mats[b : b + 1].copy())
         metric = solver._jacobi_metric(single, start[b : b + 1])
         want = (
             *solver._forward_backward_p2(single, data[b : b + 1], spec, cfgs[b : b + 1], metric),
@@ -710,7 +710,7 @@ def test_jacobi_metric_of_jacobian_stack_per_row():
     rng = np.random.default_rng(22)
     mats = rng.standard_normal((2, 6, 4)) * [[1.0, 10.0, 0.1, 1.0]]
     start = rng.standard_normal((2, 4))
-    t, lip, top, zero = solver._jacobi_metric(solver._JacobianStack(mats.copy()), start)
+    t, lip, top, zero = solver._jacobi_metric(_DenseLinear(mats.copy()), start)
     assert t.shape == top.shape == (2, 4) and lip.shape == zero.shape == (2,)
     assert not zero.any()
     for b in range(2):
@@ -730,6 +730,6 @@ def test_jacobi_metric_zero_columns():
     # an all-zero operator is flagged and keeps its start vector as its top
     mats = np.array([np.zeros((6, 4)), k])
     start = rng.standard_normal((2, 4))
-    _, _, top, zero = solver._jacobi_metric(solver._JacobianStack(mats.copy()), start)
+    _, _, top, zero = solver._jacobi_metric(_DenseLinear(mats.copy()), start)
     assert zero.tolist() == [True, False]
     assert top[0].tobytes() == start[0].tobytes()
