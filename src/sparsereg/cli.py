@@ -1,9 +1,11 @@
 """Command-line front end: single solves, noise sweeps, condition checks.
 
-`check` and `sweep` share one hypothesis stage: the conditions and rate
-constants in a sweep's rate.json are the "checks" and "constants" that
-`check` writes to check.json for the same config, less the latter's
-"passed" flag.
+Every command builds the instance as configured.  `check` and `sweep`
+share one hypothesis stage: the conditions and rate constants in a
+sweep's rate.json are the "checks" and "constants" that `check` writes to
+check.json for the same config, less the latter's "passed" flag.  A sweep
+whose hypotheses fail still runs and writes its artifacts, with NaN
+bounds, before it exits 3.  `solve` checks no hypotheses.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence or insufficient data for the rate fit, 3 condition-check
@@ -11,6 +13,7 @@ failure.  All artifacts are written atomically (temp file then rename).
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import check_source_condition, check_sparse_rate_conditions, estimate_rate_constants
+from .analysis import check_sparse_rate_conditions, estimate_rate_constants
 from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import (
     add_noise,
@@ -43,13 +46,15 @@ EXIT_CONDITIONS = 3
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
 
 
-def _build_instance(cfg: ExperimentConfig, validate: bool):
+def _build_instance(cfg: ExperimentConfig):
     weights = None
     if cfg.weights_mode == "explicit":
         weights = np.asarray(cfg.weights, dtype=np.float64)
@@ -68,7 +73,6 @@ def _build_instance(cfg: ExperimentConfig, validate: bool):
         matrix_path=cfg.matrix_path,
         positions=cfg.positions,
         weights=weights,
-        validate=validate,
     )
 
 
@@ -88,10 +92,11 @@ def _solve_alpha(cfg: ExperimentConfig, delta: float) -> float:
     raise ConfigError("solver.alpha: required for a noise-free solve with p = 2")
 
 
-def _hypotheses(instance, cert, q: float):
+def _hypotheses(instance, q: float):
     """check.json's payload for an instance and its validated rate constants
-    (None if there are none); cert is its source certificate, or None."""
+    (None if there are none)."""
     op, u_dagger, spec = instance.operator, instance.u_dagger, instance.spec
+    cert = instance.certificate
     checks = check_sparse_rate_conditions(op, u_dagger, spec, cert)
     constants = None
     if not op.is_linear:
@@ -112,11 +117,11 @@ def _hypotheses(instance, cert, q: float):
 def cmd_solve(args) -> int:
     cfg = _load(args)
     delta = args.delta if args.delta is not None else 0.0
-    if delta < 0.0:
-        raise ConfigError(f"--delta: must be nonnegative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ConfigError(f"--delta: must be finite and nonnegative, got {delta}")
     alpha = _solve_alpha(cfg, delta)
     try:
-        instance = _build_instance(cfg, validate=True)
+        instance = _build_instance(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     noisy = add_noise(instance.clean_data, delta, cfg.seed)
@@ -161,13 +166,13 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     try:
-        instance = _build_instance(cfg, validate=True)
+        instance = _build_instance(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # validate=True attached the certificate; without validated constants
-    # the sweep still runs, and its rows carry NaN bounds
-    hypotheses, constants = _hypotheses(instance, instance.certificate, cfg.q)
+    # without validated constants the sweep still runs, and its rows carry
+    # NaN bounds
+    hypotheses, constants = _hypotheses(instance, cfg.q)
     if instance.p == 1 and constants is not None and cfg.c_alpha * constants.residual_coeff >= 1.0:
         raise ConfigError(
             f"sweep.c_alpha: p = 1 bounds need c_alpha * residual_coeff < 1, got "
@@ -213,20 +218,20 @@ def cmd_sweep(args) -> int:
         f"sweep done: slope {result.rate.slope:.4f}, r^2 {result.rate.r_squared:.4f}, "
         f"{len(result.rows)} rows"
     )
+    if not hypotheses["passed"]:
+        print("condition check failed; rate.json records the conditions", file=sys.stderr)
+        return EXIT_CONDITIONS
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     cfg = _load(args)
     try:
-        instance = _build_instance(cfg, validate=False)
+        instance = _build_instance(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # validate=False keeps a failing instance to report on, so the one
-    # certificate computation is here
-    cert = check_source_condition(instance.operator, instance.u_dagger, instance.spec)
-    payload, _ = _hypotheses(instance, cert, cfg.q)
+    payload, _ = _hypotheses(instance, cfg.q)
     atomic_write_json(_out_path(cfg, "check.json"), payload)
 
     checks, constants = payload["checks"], payload["constants"]

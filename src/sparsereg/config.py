@@ -131,6 +131,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("problem.q", f"must lie in [1, 2], got {cfg.q}")
     if cfg.p not in (1, 2):
         fail("problem.p", f"must be 1 or 2, got {cfg.p}")
+    if cfg.seed < 0:
+        fail("problem.seed", f"must be a nonnegative integer, got {cfg.seed}")
     if cfg.decay <= 0:
         fail("problem.decay", f"must be positive, got {cfg.decay}")
     if cfg.kernel_width <= 0:
@@ -152,6 +154,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.weights_mode == "uniform":
         if cfg.weight <= 0:
             fail("weights.value", f"must be positive, got {cfg.weight}")
+        if cfg.weights is not None:
+            fail("weights.values", "set only with mode = explicit")
     else:
         if cfg.weights is None:
             fail("weights.values", "required when mode = explicit")

@@ -128,7 +128,7 @@ def _dense_least_l2_certificate(matrix, u, spec):
     ],
 )
 def test_structured_certificate_matches_dense_completion(kind, shape, q):
-    inst = generate_problem(kind, 64, q=q, sparsity=3, seed=1, validate=False, **shape)
+    inst = generate_problem(kind, 64, q=q, sparsity=3, seed=1, **shape)
     op, u, spec = inst.operator, inst.u_dagger, inst.spec
     assert op.derivative_adjoint_solve(u, penalty_subgradient(u, spec)) is not None
     matrix = np.stack([op.apply(column) for column in np.eye(64)], axis=1)

@@ -80,6 +80,14 @@ def test_config_diagnostics_name_fields():
     for bad in ("-1", "0"):
         with pytest.raises(ConfigError, match="sweep.delta_max"):
             parse_config(f"[sweep]\ndelta_max = {bad}\n")
+    with pytest.raises(ConfigError, match="problem.seed"):
+        parse_config("[problem]\nseed = -3\n")
+    # values are read only with mode = explicit, so under the default mode
+    # they would be ignored
+    with pytest.raises(ConfigError, match="weights.values"):
+        parse_config("[problem]\nn = 4\n[weights]\nvalues = 5.0,5.0,5.0,5.0\n")
+    with pytest.raises(ConfigError, match="weights.values"):
+        parse_config("[problem]\nn = 4\n[weights]\nmode = uniform\nvalues = 5.0,5.0,5.0,5.0\n")
 
 
 def _write(path, text):
@@ -237,6 +245,10 @@ def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
     cfg = _write(tmp_path / "sweep.cfg", SWEEP_CFG)
     assert main(["sweep", "--config", cfg, "--threads", "2"]) == 1
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    # numbers on the command line fail before any work, naming the flag
+    for flags in (["--delta", "inf"], ["--delta", "1e400"], ["--delta", "nan"], ["--seed", "-2"]):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
+        assert f"config error: {flags[0]}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -387,7 +399,8 @@ def test_cli_sweep_and_check_report_the_same_hypotheses(tmp_path, name):
 
 def test_cli_check_rank_deficient_support(tmp_path, capsys):
     # duplicate columns under the support make the restricted operator
-    # singular, which the check must flag
+    # singular, which the check must flag; sweep and solve still run the
+    # instance as configured
     matrix = tmp_path / "mat.csv"
     cols = np.random.default_rng(0).standard_normal((6, 4))
     cols[:, 1] = cols[:, 0]
@@ -412,6 +425,19 @@ positions = 0,1
     payload = json.loads((tmp_path / "o" / "check.json").read_text())
     assert payload["passed"] is False
     assert payload["checks"]["support_injectivity"]["passed"] is False
+
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(sweep)]) == 3
+    assert "condition check failed" in capsys.readouterr().err
+    assert sorted(p.name for p in sweep.iterdir()) == ["rate.json", "rate.svg", "sweep.csv"]
+    rows = (sweep / "sweep.csv").read_text().splitlines()
+    assert rows[0] == CSV_HEADER and len(rows) == 1 + 10 * 5
+    table = [dict(zip(rows[0].split(","), row.split(","))) for row in rows[1:]]
+    assert all(row["err_bound"] == "nan" for row in table)
+    rate = json.loads((sweep / "rate.json").read_text())
+    assert rate["conditions"] == payload["checks"]
+
+    assert main(["solve", "--config", cfg, "--delta", "0.01", "--out", str(tmp_path / "s")]) == 0
 
 
 @pytest.mark.parametrize("command", ["check", "sweep", "solve"])

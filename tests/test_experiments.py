@@ -87,8 +87,8 @@ def test_generate_problem_random_dense_first_draw_rate():
         inst = generate_problem(
             "random-dense", n, m=m, sparsity=sparsity, q=1.0, p=2, seed=seed
         )
-        # attempt index 0 in the rng stream means the first draw succeeded
-        if inst.certificate is not None and inst.seed == seed:
+        # the instance is the draw from the stream [seed, 0]
+        if inst.certificate is not None:
             rng = np.random.default_rng([seed, 0])
             rng.standard_normal((m, n))
             positions = rng.choice(n, size=sparsity, replace=False)
@@ -99,6 +99,29 @@ def test_generate_problem_random_dense_first_draw_rate():
             if np.array_equal(u, inst.u_dagger):
                 passes += 1
     assert passes >= 95
+
+
+def test_generate_problem_keeps_a_failing_instance(tmp_path, monkeypatch):
+    # two equal columns under a pinned support: injectivity fails, and the
+    # instance is built once, as configured
+    matrix = np.random.default_rng(0).standard_normal((6, 4))
+    matrix[:, 1] = matrix[:, 0]
+    path = tmp_path / "mat.csv"
+    np.savetxt(path, matrix, delimiter=",")
+    original, reads = experiments.load_matrix_csv, []
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "load_matrix_csv", counting)
+    inst = generate_problem("csv", 4, sparsity=2, seed=0, matrix_path=path, positions=[0, 1])
+    assert len(reads) == 1
+    np.testing.assert_array_equal(np.flatnonzero(inst.u_dagger), [0, 1])
+    # for q > 1 and m < n the source condition generically fails, and the
+    # instance carries no certificate
+    inst = generate_problem("random-dense", 64, m=24, sparsity=3, q=1.5, seed=0)
+    assert inst.certificate is None
 
 
 def test_generate_problem_positions_override():
