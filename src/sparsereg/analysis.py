@@ -283,7 +283,6 @@ def _constants_quadratic(op, u_dagger, spec, cert) -> RateConstants:
         exponent=2.0,
         penalty_radius=ref_penalty + spec.w_min,
         residual_radius=np.inf,
-        validated=False,
     )
 
 
@@ -303,7 +302,6 @@ def _constants_sparse_q(op, u_dagger, spec, cert) -> RateConstants:
         exponent=spec.q,
         penalty_radius=np.inf,
         residual_radius=_RESIDUAL_RADIUS,
-        validated=False,
     )
 
 
@@ -325,7 +323,6 @@ def _constants_sparse_1(op, u_dagger, spec, cert) -> RateConstants:
         exponent=1.0,
         penalty_radius=np.inf,
         residual_radius=np.inf,
-        validated=False,
     )
 
 
@@ -408,7 +405,6 @@ def estimate_rate_constants(
     n_samples: int = 1000,
     radius: float = 0.1,
     seed: int = 0,
-    validate: bool = True,
 ) -> RateConstants:
     """Growth-inequality coefficients for a linear operator, by construction.
 
@@ -416,8 +412,8 @@ def estimate_rate_constants(
     reference; q in (1, 2] needs a sparse reference; 2 is the general
     quadratic construction for q > 1.  When exponent = q = 2 the sparse
     construction is preferred if the reference is sparse.  The returned
-    coefficients are validated on n_samples perturbations unless
-    validate=False; violations raise with the offending samples listed.
+    coefficients are validated on n_samples perturbations; violations
+    raise with the offending samples listed.
     cert is the source certificate of (op, u_dagger, spec) from
     check_source_condition, or None when the source condition fails.
     """
@@ -444,8 +440,6 @@ def estimate_rate_constants(
             f"unsupported exponent {exponent} for q = {spec.q}"
             + ("" if sparse else " with a non-sparse reference")
         )
-    if not validate:
-        return constants
     report = validate_rate_inequality(
         op, u_dagger, spec, constants, n_samples=n_samples, radius=radius, seed=seed
     )

@@ -55,25 +55,27 @@ def _load(args) -> ExperimentConfig:
 
 
 def _build_instance(cfg: ExperimentConfig):
-    weights = None
-    if cfg.weights_mode == "explicit":
-        weights = np.asarray(cfg.weights, dtype=np.float64)
-    return generate_problem(
-        cfg.kind,
-        cfg.n,
-        m=cfg.m,
-        sparsity=cfg.sparsity,
-        q=cfg.q,
-        p=cfg.p,
-        seed=cfg.seed,
-        weight=cfg.weight,
-        decay=cfg.decay,
-        kernel_width=cfg.kernel_width,
-        eps=cfg.eps,
-        matrix_path=cfg.matrix_path,
-        positions=cfg.positions,
-        weights=weights,
-    )
+    """The configured instance; a config the instance rejects is a
+    configuration error.  The config sets weights only under explicit."""
+    try:
+        return generate_problem(
+            cfg.kind,
+            cfg.n,
+            m=cfg.m,
+            sparsity=cfg.sparsity,
+            q=cfg.q,
+            p=cfg.p,
+            seed=cfg.seed,
+            weight=cfg.weight,
+            decay=cfg.decay,
+            kernel_width=cfg.kernel_width,
+            eps=cfg.eps,
+            matrix_path=cfg.matrix_path,
+            positions=cfg.positions,
+            weights=cfg.weights,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
@@ -120,10 +122,7 @@ def cmd_solve(args) -> int:
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ConfigError(f"--delta: must be finite and nonnegative, got {delta}")
     alpha = _solve_alpha(cfg, delta)
-    try:
-        instance = _build_instance(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    instance = _build_instance(cfg)
     noisy = add_noise(instance.clean_data, delta, cfg.seed)
     report = solve_instance(
         instance, noisy, alpha, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
@@ -165,10 +164,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    try:
-        instance = _build_instance(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    instance = _build_instance(cfg)
 
     # without validated constants the sweep still runs, and its rows carry
     # NaN bounds
@@ -226,10 +222,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    try:
-        instance = _build_instance(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    instance = _build_instance(cfg)
 
     payload, _ = _hypotheses(instance, cfg.q)
     atomic_write_json(_out_path(cfg, "check.json"), payload)

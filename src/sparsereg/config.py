@@ -131,6 +131,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         fail("problem.q", f"must lie in [1, 2], got {cfg.q}")
     if cfg.p not in (1, 2):
         fail("problem.p", f"must be 1 or 2, got {cfg.p}")
+    if cfg.p == 1 and cfg.kind == "toy-nonlinear":
+        fail("problem.p", "p = 1 needs a linear kind, got toy-nonlinear")
     if cfg.seed < 0:
         fail("problem.seed", f"must be a nonnegative integer, got {cfg.seed}")
     if cfg.decay <= 0:
@@ -221,6 +223,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[attr] = converter(raw)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: cannot parse {raw!r}: {exc}") from exc
+    # weight has a default, so only the keys read show that it was set
+    if values.get("weights_mode") == "explicit" and "weight" in values:
+        raise ConfigError("weights.value: set only with mode = uniform")
     return _validate(ExperimentConfig(**values))
 
 
@@ -231,7 +236,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines = []
         for key, (attr, _) in keys.items():
             value = getattr(cfg, attr)
-            if value is None:
+            # value is read only with mode = uniform
+            if value is None or (attr == "weight" and cfg.weights_mode == "explicit"):
                 continue
             lines.append(f"{key} = {_format_value(value)}")
         if lines:

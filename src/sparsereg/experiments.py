@@ -8,6 +8,7 @@ theory predicts.
 """
 
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .operators import (
     make_toy_nonlinear,
 )
 from .penalty import PenaltySpec, penalty_subgradient
-from .solver import SolverConfig, _solve_p2, solve_linear_p1
+from .solver import SolverConfig, _solve_p1, _solve_p2, solve_linear_p1
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -59,14 +60,29 @@ MIN_RATE_LEVELS = 4
 
 @dataclass
 class ProblemInstance:
-    """Forward operator with an exactly known reference solution."""
+    """Forward operator with an exactly known reference solution.
+
+    p is the data exponent of the functional, checked here where the
+    instance is built: 1 or 2, and 1 only for a linear operator.
+    """
 
     operator: ForwardOperator
     u_dagger: np.ndarray
     clean_data: np.ndarray
     spec: PenaltySpec
     p: int
-    certificate: Optional[SourceCertificate] = None
+
+    def __post_init__(self):
+        if self.p not in (1, 2):
+            raise ValueError(f"data exponent p must be 1 or 2, got {self.p}")
+        if self.p == 1 and not self.operator.is_linear:
+            raise ValueError("data exponent p = 1 needs a linear operator")
+
+    @cached_property
+    def certificate(self) -> Optional[SourceCertificate]:
+        """The source certificate of the reference, or None when the
+        source condition fails; computed on first read."""
+        return check_source_condition(self.operator, self.u_dagger, self.spec)
 
 
 @dataclass(frozen=True)
@@ -194,8 +210,8 @@ def generate_problem(
     which noise levels keep it above the shrinkage threshold, so rate
     studies need it pinned.  The instance is one draw from the stream
     np.random.default_rng([seed, 0]), built as configured whether or not
-    the rate hypotheses hold; its certificate is the source certificate
-    of the draw, or None when the source condition fails.
+    the rate hypotheses hold; p is checked when the instance is built, and
+    its source certificate is computed on first read.
     """
     if sparsity > n:
         raise ValueError(f"sparsity {sparsity} exceeds dimension {n}")
@@ -210,14 +226,7 @@ def generate_problem(
     rng = np.random.default_rng([seed, 0])
     op = _build_operator(kind, n, m, rng, decay, kernel_width, eps, matrix_path)
     u = _draw_reference(rng, op.n, sparsity, positions)
-    return ProblemInstance(
-        operator=op,
-        u_dagger=u,
-        clean_data=op.apply(u),
-        spec=spec,
-        p=p,
-        certificate=check_source_condition(op, u, spec),
-    )
+    return ProblemInstance(operator=op, u_dagger=u, clean_data=op.apply(u), spec=spec, p=p)
 
 
 def generate_source_problem(
@@ -247,20 +256,14 @@ def generate_source_problem(
     omega = signs * (np.arange(n) + 1.0) ** (-source_decay)
     xi = singular_values * omega
     u = np.sign(xi) * (np.abs(xi) / (q * spec.weights)) ** (1.0 / (q - 1.0))
-    certificate = SourceCertificate(
+    instance = ProblemInstance(operator=op, u_dagger=u, clean_data=op.apply(u), spec=spec, p=p)
+    instance.certificate = SourceCertificate(
         subgradient=xi,
         source_element=omega,
         residual=float(np.linalg.norm(penalty_subgradient(u, spec) - xi)),
         source_norm=float(np.linalg.norm(omega)),
     )
-    return ProblemInstance(
-        operator=op,
-        u_dagger=u,
-        clean_data=op.apply(u),
-        spec=spec,
-        p=p,
-        certificate=certificate,
-    )
+    return instance
 
 
 def add_noise(clean, delta: float, seed) -> np.ndarray:
@@ -325,14 +328,8 @@ def _solve_cells(instance: ProblemInstance, data, alphas, tols, max_iter: int) -
     p = 2 rows, linear or not, go through one batched solve; p = 1 rows
     go one at a time through the primal-dual solver.
     """
-    cfgs = [
-        SolverConfig(p=instance.p, alpha=alpha, max_iter=max_iter, tol=tol)
-        for alpha, tol in zip(alphas, tols)
-    ]
-    op, spec = instance.operator, instance.spec
-    if op.is_linear and instance.p == 1:
-        return [solve_linear_p1(op, row, spec, cfg) for row, cfg in zip(data, cfgs)]
-    return _solve_p2(op, data, spec, cfgs)
+    solve = _solve_p1 if instance.p == 1 else _solve_p2
+    return solve(instance.operator, data, instance.spec, alphas, tols, max_iter)
 
 
 def run_sweep(
@@ -440,7 +437,7 @@ def exact_recovery_test(
     if instance.certificate is not None and instance.certificate.source_norm > 0.0:
         if alpha >= 1.0 / instance.certificate.source_norm:
             return RecoveryReport(status="inapplicable", error=float("nan"), threshold=threshold)
-    cfg = SolverConfig(p=1, alpha=alpha, max_iter=solver_max_iter, tol=solver_tol)
+    cfg = SolverConfig(alpha=alpha, max_iter=solver_max_iter, tol=solver_tol)
     report = solve_linear_p1(instance.operator, instance.clean_data, instance.spec, cfg)
     error = float(np.linalg.norm(report.minimizer - instance.u_dagger))
     return RecoveryReport(

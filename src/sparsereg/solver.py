@@ -8,9 +8,10 @@ their primal steps per column by the same diagonal (Jacobi) metric.  The
 nonlinear path wraps the p = 2 solver in a damped Gauss-Newton outer loop.
 
 The p = 2 paths solve a batch of data rows at once, each row with its own
-configuration: one (B, m) stack and one loop, from which each row leaves
-when it stops.  Every reduction is a stacked per-row product, so each row
-is bit-identical to solving it alone; a single solve is a batch of one.
+alpha and tol and all with one max_iter: one (B, m) stack and one loop,
+from which each row leaves when it stops.  Every reduction is a stacked
+per-row product, so each row is bit-identical to solving it alone; a
+single solve is a batch of one.
 """
 
 import math
@@ -41,27 +42,17 @@ _STEP_SAFETY = 0.99
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Data exponent p in {1, 2}, penalty weight alpha, and iteration controls.
+    """Penalty weight alpha and iteration controls of one solve.
 
     max_iter caps the iterations and tol is a relative iterate-change
-    threshold.  The nonlinear path runs its linearized subproblem solves
-    with the same max_iter and tol as its outer loop.
+    threshold.  Each solver fixes its own data exponent p, and checks
+    these values when it runs.  The nonlinear path runs its linearized
+    subproblem solves with the same max_iter and tol as its outer loop.
     """
 
-    p: int
     alpha: float
     max_iter: int = 50000
     tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ValueError(f"data exponent p must be 1 or 2, got {self.p}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -85,8 +76,9 @@ class SolveReport:
 _JACOBIAN_STACK_ENTRIES = 1 << 22
 
 
-def _reports(op, data, spec, cfgs, x, iterations, converged) -> list:
-    """One SolveReport per row of the (B, n) minimizers x.
+def _reports(op, data, spec, p, alpha, x, iterations, converged) -> list:
+    """One SolveReport per row of the (B, n) minimizers x, with objective
+    ||F(x) - v||^p + alpha*R(x) for the (B,) alpha.
 
     A row whose residual norm or penalty value is not finite is reported
     as not converged: its objective cannot be optimal.
@@ -97,18 +89,20 @@ def _reports(op, data, spec, cfgs, x, iterations, converged) -> list:
     return [
         SolveReport(
             minimizer=x[b],
-            objective=resid[b] ** cfg.p + cfg.alpha * pen[b],
+            objective=resid[b] ** p + a * pen[b],
             residual_norm=resid[b],
             penalty_value=pen[b],
             iterations=int(iterations[b]),
             converged=bool(converged[b]) and math.isfinite(resid[b]) and math.isfinite(pen[b]),
         )
-        for b, cfg in enumerate(cfgs)
+        for b, a in enumerate(alpha.tolist())
     ]
 
 
-def _report(op, data, spec, cfg, u, iterations, converged) -> SolveReport:
-    return _reports(op, data[None], spec, [cfg], u[None], [iterations], [converged])[0]
+def _one_row(batch, op, data, spec, cfg: SolverConfig, u0) -> SolveReport:
+    """Solve one data vector as a batch of one row."""
+    u0 = None if u0 is None else [u0]
+    return batch(op, np.asarray(data)[None], spec, [cfg.alpha], [cfg.tol], cfg.max_iter, u0)[0]
 
 
 def _objective(u, image, data, alpha, spec):
@@ -117,21 +111,31 @@ def _objective(u, image, data, alpha, spec):
     return _row_dots(r, r) + alpha * _penalty_value(u, spec)
 
 
-def _per_row(cfgs, *keys):
-    """The named SolverConfig fields, one (B,) array each."""
-    return [np.array([getattr(cfg, key) for cfg in cfgs]) for key in keys]
+def _check(op: ForwardOperator, data, spec: PenaltySpec, alpha, tol, max_iter: int, u0):
+    """The (B, m) data and the per-row (B,) alpha and tol as float64, and
+    the (B, n) starts (zero unless given) as a new float64 array.
 
-
-def _check(op: ForwardOperator, data, spec: PenaltySpec, cfgs, p: int) -> np.ndarray:
-    """The (B, m) data as float64, one row per config, each config with p."""
+    Every solve goes through here: alpha and tol must be positive and
+    finite, and max_iter at least 1.
+    """
     data = np.asarray(data, dtype=np.float64)
-    if data.shape != (len(cfgs), op.m):
-        raise ValueError(f"expected {len(cfgs)} data rows of length {op.m}, got {data.shape}")
+    alpha = np.asarray(alpha, dtype=np.float64)
+    tol = np.asarray(tol, dtype=np.float64)
+    if alpha.ndim != 1 or tol.shape != alpha.shape:
+        raise ValueError(f"expected one alpha and one tol per row, got {alpha.shape}, {tol.shape}")
+    if data.shape != (alpha.size, op.m):
+        raise ValueError(f"expected {alpha.size} data rows of length {op.m}, got {data.shape}")
     if spec.n != op.n:
         raise ValueError(f"penalty has {spec.n} weights but operator expects {op.n}")
-    if any(cfg.p != p for cfg in cfgs):
-        raise ValueError(f"this solver handles p = {p} only")
-    return data
+    u0 = np.zeros((alpha.size, op.n)) if u0 is None else np.array(u0, dtype=np.float64)
+    if u0.shape != (alpha.size, op.n):
+        raise ValueError(f"expected {alpha.size} starts of length {op.n}, got {u0.shape}")
+    for name, value in (("alpha", alpha), ("tol", tol)):
+        if not np.all(np.isfinite(value) & (value > 0.0)):
+            raise ValueError(f"{name} must be positive, got {value}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    return data, alpha, tol, u0
 
 
 def _jacobi_metric(op: ForwardOperator, start=None):
@@ -188,11 +192,12 @@ def solve_linear_p2(
     """
     if not op.is_linear:
         raise ValueError("this solver handles linear operators only")
-    return _solve_p2(op, np.asarray(data)[None], spec, [cfg], None if u0 is None else [u0])[0]
+    return _one_row(_solve_p2, op, data, spec, cfg, u0)
 
 
-def _solve_p2(op, data, spec, cfgs, u0=None) -> list:
-    """One SolveReport per row of the (B, m) data, row b solved with cfgs[b].
+def _solve_p2(op, data, spec, alpha, tol, max_iter: int, u0=None) -> list:
+    """One SolveReport per row of the (B, m) data, row b solved with
+    alpha[b] and tol[b] of the (B,) alpha and tol, every row with max_iter.
 
     The batch form of solve_linear_p2 (linear op) and solve_nonlinear
     (nonlinear op); `u0`, when given, holds one start per row.  Each
@@ -200,16 +205,15 @@ def _solve_p2(op, data, spec, cfgs, u0=None) -> list:
     runs in chunks of rows whose Jacobian stack keeps under
     _JACOBIAN_STACK_ENTRIES entries.
     """
-    data = _check(op, data, spec, cfgs, 2)
-    u0 = None if u0 is None else np.array(u0, dtype=np.float64)
+    data, alpha, tol, u0 = _check(op, data, spec, alpha, tol, max_iter, u0)
     if op.is_linear:
-        solved = _forward_backward_p2(op, data, spec, cfgs, _jacobi_metric(op), u0)
-        return _reports(op, data, spec, cfgs, *solved)
+        solved = _forward_backward_p2(op, data, spec, alpha, tol, max_iter, _jacobi_metric(op), u0)
+        return _reports(op, data, spec, 2, alpha, *solved)
     chunk = max(1, _JACOBIAN_STACK_ENTRIES // (op.m * op.n))
     reports = []
-    for lo in range(0, len(cfgs), chunk):
+    for lo in range(0, len(data), chunk):
         rows = slice(lo, lo + chunk)
-        reports += _gauss_newton(op, data[rows], spec, cfgs[rows], None if u0 is None else u0[rows])
+        reports += _gauss_newton(op, data[rows], spec, alpha[rows], tol[rows], max_iter, u0[rows])
     return reports
 
 
@@ -222,7 +226,6 @@ class _LiveRows(NamedTuple):
     thresh: np.ndarray
     alpha: np.ndarray
     tol: np.ndarray
-    max_iter: np.ndarray
 
     def take(self, keep, in_place=False) -> "_LiveRows":
         return _LiveRows(self.op._rows(keep, in_place), *(v[keep] for v in self[1:]))
@@ -241,8 +244,8 @@ def _kept_rows(done):
     return order
 
 
-def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None):
-    """solve_linear_p2 on checked (B, m) data, one config per row.
+def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
+    """solve_linear_p2 on checked (B, m) data and (B,) alpha and tol.
 
     `op` takes (B, n) rows: one linear operator shared by every row, or a
     _DenseLinear stack with one matrix per row, which the loop compacts in
@@ -256,8 +259,7 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None):
     the objective reuses) and one adjoint apply.
     """
     rows, n = data.shape[0], op.n
-    alpha, tol, max_iter = _per_row(cfgs, "alpha", "tol", "max_iter")
-    x = np.zeros((rows, n)) if u0 is None else u0.copy()
+    x = u0.copy()
     x_image = op.apply(x)
     obj = _objective(x, x_image, data, alpha, spec)
     out = np.zeros((rows, n))
@@ -277,7 +279,6 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None):
         step * (alpha[live] / 2.0)[:, None] * spec.weights,
         alpha[live],
         tol[live],
-        max_iter[live],
     )
 
     def forward_backward(part, u, image):
@@ -310,7 +311,7 @@ def _forward_backward_p2(op, data, spec, cfgs, metric, u0=None):
         shift = np.sqrt(_row_dots(shift, shift))
         x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
         stop = shift <= part.tol * (1.0 + np.sqrt(_row_dots(x, x)))
-        done = stop | (iteration >= part.max_iter)
+        done = stop | (iteration >= max_iter)
         if done.any():
             ended = live[done]
             out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
@@ -342,12 +343,22 @@ def solve_linear_p1(
     below 1 for s < 1.  A zero column leaves its coordinate out of the
     data term, so any step is admissible there; it gets the largest step
     of the others and the prox alone drives it towards zero.  Stops when
-    both iterates change less than tol in relative terms.  One data vector
-    per call: the p = 1 iteration is not batched.
+    both iterates change less than tol in relative terms.
     """
     if not op.is_linear:
         raise ValueError("this solver handles linear operators only")
-    data = _check(op, np.asarray(data)[None], spec, [cfg], 1)[0]
+    return _one_row(_solve_p1, op, data, spec, cfg, u0)
+
+
+def _solve_p1(op, data, spec, alpha, tol, max_iter: int, u0=None) -> list:
+    """One SolveReport per row of the (B, m) data, as _solve_p2, but the
+    rows iterate one after another with one shared Jacobi metric: the
+    p = 1 iteration is not batched.
+    """
+    data, alpha, tol, u0 = _check(op, data, spec, alpha, tol, max_iter, u0)
+    rows = data.shape[0]
+    out = np.zeros((rows, op.n))
+    iterations = np.zeros(rows, dtype=np.int64)
 
     def norm(v):
         # np.linalg.norm of a real vector is sqrt(v @ v), without its overhead
@@ -356,29 +367,29 @@ def solve_linear_p1(
     t, lip, _, zero = _jacobi_metric(op)
     if zero:
         # zero operator: the penalty alone drives every coefficient to zero
-        return _report(op, data, spec, cfg, np.zeros(op.n), 0, True)
-    x = np.zeros(op.n) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
+        return _reports(op, data, spec, 1, alpha, out, iterations, np.ones(rows, dtype=bool))
     sigma = _STEP_SAFETY / np.sqrt(lip)
     tau = sigma * t
-    thresh = tau * cfg.alpha * spec.weights
-    y = np.zeros(op.m)
-    x_bar = x.copy()
-    iterations = 0
-    converged = False
-    for iterations in range(1, cfg.max_iter + 1):
-        y_next = y + sigma * (op.apply(x_bar) - data)
-        norm_y = norm(y_next)
-        if norm_y > 1.0:
-            y_next = y_next / norm_y
-        x_next = _prox_power(x - tau * op.derivative_adjoint_apply(x, y_next), thresh, spec.q)
-        x_bar = 2.0 * x_next - x
-        primal_shift = norm(x_next - x)
-        dual_shift = norm(y_next - y)
-        x, y = x_next, y_next
-        if primal_shift <= cfg.tol * (1.0 + norm(x)) and dual_shift <= cfg.tol * (1.0 + norm(y)):
-            converged = True
-            break
-    return _report(op, data, spec, cfg, x, iterations, converged)
+    converged = np.zeros(rows, dtype=bool)
+    for b, (x, row, alpha_b, tol_b) in enumerate(zip(u0, data, alpha.tolist(), tol.tolist())):
+        thresh = tau * alpha_b * spec.weights
+        y = np.zeros(op.m)
+        x_bar = x.copy()
+        for k in range(1, max_iter + 1):
+            y_next = y + sigma * (op.apply(x_bar) - row)
+            norm_y = norm(y_next)
+            if norm_y > 1.0:
+                y_next = y_next / norm_y
+            x_next = _prox_power(x - tau * op.derivative_adjoint_apply(x, y_next), thresh, spec.q)
+            x_bar = 2.0 * x_next - x
+            primal_shift = norm(x_next - x)
+            dual_shift = norm(y_next - y)
+            x, y = x_next, y_next
+            if primal_shift <= tol_b * (1.0 + norm(x)) and dual_shift <= tol_b * (1.0 + norm(y)):
+                converged[b] = True
+                break
+        out[b], iterations[b] = x, k
+    return _reports(op, data, spec, 1, alpha, out, iterations, converged)
 
 
 def solve_nonlinear(
@@ -397,11 +408,10 @@ def solve_nonlinear(
     not increase.  Inner solves use the outer max_iter and tol.
     Each step computes the Jacobi metric of its Jacobian by power
     iteration started from the previous step's top eigenvector, since
-    consecutive linearizations are close.
+    consecutive linearizations are close.  A linear F needs no outer loop
+    and is solved as by solve_linear_p2.
     """
-    data = _check(op, np.asarray(data)[None], spec, [cfg], 2)
-    u0 = None if u0 is None else np.asarray(u0, dtype=np.float64)[None]
-    return _gauss_newton(op, data, spec, [cfg], u0)[0]
+    return _one_row(_solve_p2, op, data, spec, cfg, u0)
 
 
 def _linearize(op, base, data):
@@ -416,8 +426,8 @@ def _linearize(op, base, data):
     return linear, data - op.apply(base) + linear.apply(base)
 
 
-def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
-    """solve_nonlinear on checked (B, m) data, one config per row.
+def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
+    """solve_nonlinear on checked (B, m) data and (B,) alpha and tol.
 
     The rows take their Gauss-Newton steps in lockstep: each step stacks
     the rows' Jacobians into one _DenseLinear stack, solves every linearized
@@ -425,12 +435,11 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
     own.  A row leaves the batch when it stops.
     """
     rows, n = data.shape[0], op.n
-    alpha, tol, max_iter = _per_row(cfgs, "alpha", "tol", "max_iter")
 
     def objective(live, u):
         return _objective(u, op.apply(u), data[live], alpha[live], spec)
 
-    u = np.zeros((rows, n)) if u0 is None else u0.copy()
+    u = u0.copy()
     live = np.arange(rows)
     obj = objective(live, u)
     # normalizing the seeded vector is the power iteration's own cold start
@@ -445,7 +454,7 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
         metric = _jacobi_metric(jacobians, top[live])
         top[live] = metric[2]
         x = _forward_backward_p2(
-            jacobians, linear_data, spec, [cfgs[b] for b in live], metric, base
+            jacobians, linear_data, spec, alpha[live], tol[live], max_iter, metric, base
         )[0]
         # the Jacobian stack is not kept, so it is freed before the next
         # step allocates its own
@@ -471,5 +480,5 @@ def _gauss_newton(op, data, spec, cfgs, u0=None) -> list:
         now = u[live]
         stop = stuck | (shift <= tol[live] * (1.0 + np.sqrt(_row_dots(now, now))))
         iterations[live], converged[live] = iteration, stop
-        live = live[~stop & (iteration < max_iter[live])]
-    return _reports(op, data, spec, cfgs, u, iterations, converged)
+        live = live[~stop & (iteration < max_iter)]
+    return _reports(op, data, spec, 2, alpha, u, iterations, converged)

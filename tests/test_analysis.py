@@ -446,7 +446,7 @@ def test_validation_bit_identical_to_one_sample_at_a_time(n, q, exponent, n_samp
     u = np.zeros(n)
     u[[0, 3, 8]] = [1.0, -0.7, 1.2]
     cert = check_source_condition(op, u, spec)
-    honest = estimate_rate_constants(op, u, spec, cert, exponent, validate=False)
+    honest = estimate_rate_constants(op, u, spec, cert, exponent)
     fields = asdict(honest)
     fields.update(stressed)
     for constants in (honest, RateConstants(**fields)):

@@ -47,7 +47,6 @@ def test_config_roundtrip_all_optionals():
         matrix_path="mat.csv",
         positions=(0, 2),
         weights_mode="explicit",
-        weight=2.0,
         weights=(1.0, 2.0, 0.5, 1.25),
         delta_min=1e-3,
         delta_max=1e-1,
@@ -60,6 +59,20 @@ def test_config_roundtrip_all_optionals():
         out_dir="results",
     )
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_config_weights_value_only_with_uniform():
+    # value is read only with mode = uniform, so under explicit it would be
+    # ignored; the serializer writes it only under uniform
+    with pytest.raises(ConfigError, match="weights.value: set only with mode = uniform"):
+        parse_config(
+            "[problem]\nn = 4\n[weights]\nmode = explicit\nvalue = 5.0\nvalues = 1,1,1,1\n"
+        )
+    explicit = ExperimentConfig(n=4, weights_mode="explicit", weights=(1.0, 2.0, 0.5, 1.25))
+    assert "value =" not in serialize_config(explicit)
+    uniform = ExperimentConfig(weight=2.0)
+    assert "value = 2.0" in serialize_config(uniform)
+    assert parse_config(serialize_config(uniform)) == uniform
 
 
 def test_config_diagnostics_name_fields():
@@ -291,6 +304,27 @@ def test_cli_sweep_computes_one_certificate(tmp_path, monkeypatch):
     payload = json.loads((out / "rate.json").read_text())
     assert payload["conditions"]["source_condition"]["passed"] is True
     assert payload["constants"]["validated"] is True
+
+
+def test_cli_solve_computes_no_certificate(tmp_path, monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    out = tmp_path / "out"
+    args = ["--config", "configs/q15_diagonal.cfg", "--out", str(out), "--delta", "0.01"]
+    assert main(["solve", *args]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "solve"])
+def test_cli_nonlinear_p1_is_config_error(tmp_path, capsys, command):
+    # the p = 1 solver needs a linear operator, so the config is rejected
+    # before any instance is built
+    text = (ROOT / "configs" / "nonlinear_toy.cfg").read_text()
+    assert "\np = 2\n" in text
+    cfg = _write(tmp_path / "nl_p1.cfg", text.replace("\np = 2\n", "\np = 1\n"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: problem.p:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_solve_exact_recovery(tmp_path):

@@ -151,6 +151,33 @@ def test_generate_problem_validation_errors():
             generate_problem(kind, 8, m=4, sparsity=2, seed=0, kernel_width=0.5)
 
 
+def test_problem_instance_checks_p_where_built():
+    for p in (0, 3):
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            generate_problem("diagonal", 8, sparsity=2, p=p, seed=0)
+    with pytest.raises(ValueError, match="p must be 1 or 2"):
+        generate_source_problem(n=8, p=3)
+
+
+def test_certificate_is_computed_on_first_read(monkeypatch):
+    calls = []
+    real = experiments.check_source_condition
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "check_source_condition", counting)
+    inst = generate_problem("diagonal", 16, sparsity=2, q=1.0, p=1, seed=0)
+    assert calls == []
+    cert = inst.certificate
+    assert cert is not None and inst.certificate is cert
+    assert len(calls) == 1
+    # the source problem carries its certificate by construction
+    assert generate_source_problem(n=16).certificate is not None
+    assert len(calls) == 1
+
+
 def test_generate_source_problem_dense_reference():
     inst = generate_source_problem(n=64, q=1.5, p=2, seed=0)
     assert int(np.count_nonzero(inst.u_dagger)) == 64
@@ -208,9 +235,9 @@ def test_run_sweep_solves_every_cell_in_one_batch(kind, monkeypatch):
     batches = []
     real = experiments._solve_p2
 
-    def counting(op, data, spec, cfgs):
-        batches.append(len(cfgs))
-        return real(op, data, spec, cfgs)
+    def counting(op, data, spec, alpha, *args):
+        batches.append(len(alpha))
+        return real(op, data, spec, alpha, *args)
 
     monkeypatch.setattr(experiments, "_solve_p2", counting)
     result = run_sweep(inst, deltas, 1.0, 3, seed=5, solver_tol=1e-9)

@@ -1,6 +1,7 @@
 """Solvers for the regularized functional: goldens, certificates, restarts."""
 
 import collections
+import dataclasses
 import weakref
 
 import numpy as np
@@ -34,21 +35,36 @@ from sparsereg.solver import (
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(p=3, alpha=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(p=2, alpha=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(p=2, alpha=1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(p=2, alpha=1.0, max_iter=0)
+    # each solver fixes its own p; alpha, tol and max_iter are checked by
+    # every solve, and per row in a batch
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["alpha", "max_iter", "tol"]
+    op = make_dense_linear(np.eye(2))
+    spec = PenaltySpec.uniform(1.5, 1.0, 2)
+    bad = [
+        SolverConfig(alpha=0.0),
+        SolverConfig(alpha=np.inf),
+        SolverConfig(alpha=1.0, tol=0.0),
+        SolverConfig(alpha=1.0, tol=np.nan),
+        SolverConfig(alpha=1.0, max_iter=0),
+    ]
+    for solve in (solve_linear_p1, solve_linear_p2, solve_nonlinear):
+        for cfg in bad:
+            with pytest.raises(ValueError):
+                solve(op, np.zeros(2), spec, cfg)
+    for batch in (solver._solve_p1, solver._solve_p2):
+        with pytest.raises(ValueError, match="alpha"):
+            batch(op, np.zeros((2, 2)), spec, [0.1, -0.1], [1e-10, 1e-10], 100)
+        with pytest.raises(ValueError, match="tol"):
+            batch(op, np.zeros((2, 2)), spec, [0.1, 0.1], [1e-10, 0.0], 100)
+        with pytest.raises(ValueError, match="one alpha and one tol per row"):
+            batch(op, np.zeros((2, 2)), spec, [0.1, 0.1], [1e-10], 100)
 
 
 def test_p2_identity_q2_golden():
     # minimizer of (x - z)^2 + x^2 is z/2 componentwise at alpha = 1
     op = make_dense_linear(np.eye(2))
     spec = PenaltySpec.uniform(2.0, 1.0, 2)
-    report = solve_linear_p2(op, np.array([2.0, 4.0]), spec, SolverConfig(p=2, alpha=1.0))
+    report = solve_linear_p2(op, np.array([2.0, 4.0]), spec, SolverConfig(alpha=1.0))
     np.testing.assert_allclose(report.minimizer, [1.0, 2.0], atol=1e-8)
     assert report.converged
 
@@ -56,7 +72,7 @@ def test_p2_identity_q2_golden():
 def test_p2_zero_data():
     op = make_diagonal_linear(np.array([1.0, 0.5, 0.25]))
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    report = solve_linear_p2(op, np.zeros(3), spec, SolverConfig(p=2, alpha=0.3))
+    report = solve_linear_p2(op, np.zeros(3), spec, SolverConfig(alpha=0.3))
     np.testing.assert_allclose(report.minimizer, np.zeros(3), atol=1e-12)
 
 
@@ -66,7 +82,7 @@ def test_p2_identity_q1_golden():
     op = make_dense_linear(np.eye(2))
     spec = PenaltySpec.uniform(1.0, 1.0, 2)
     report = solve_linear_p2(
-        op, np.array([2.0, 0.3]), spec, SolverConfig(p=2, alpha=1.0)
+        op, np.array([2.0, 0.3]), spec, SolverConfig(alpha=1.0)
     )
     np.testing.assert_allclose(report.minimizer, [1.5, 0.0], atol=1e-8)
     grid = np.linspace(-3.0, 3.0, 20001)
@@ -82,7 +98,7 @@ def test_p2_report_consistency():
     op = make_dense_linear(rng.standard_normal((12, 8)))
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
     data = rng.standard_normal(12)
-    report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=0.5))
+    report = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.5))
     resid = float(np.linalg.norm(op.apply(report.minimizer) - data))
     assert report.residual_norm == pytest.approx(resid, rel=1e-12)
     assert report.penalty_value == pytest.approx(
@@ -100,11 +116,11 @@ def test_p2_restart_keeps_iterates_monotone():
     op = make_dense_linear(rng.standard_normal((12, 8)))
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
     data = rng.standard_normal(12)
-    full = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=0.5))
+    full = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.5))
     assert full.converged and full.iterations > 10
     objective = [float(data @ data)]  # the zero start
     for k in range(1, full.iterations + 1):
-        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=0.5, max_iter=k))
+        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.5, max_iter=k))
         assert report.iterations == k
         objective.append(report.objective)
     assert report.minimizer.tobytes() == full.minimizer.tobytes()
@@ -118,29 +134,32 @@ def test_p2_rejects_nonlinear():
     op = make_toy_nonlinear(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), 0.1)
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
     with pytest.raises(ValueError):
-        solve_linear_p2(op, np.zeros(4), spec, SolverConfig(p=2, alpha=1.0))
+        solve_linear_p2(op, np.zeros(4), spec, SolverConfig(alpha=1.0))
     with pytest.raises(ValueError):
-        solve_linear_p1(op, np.zeros(4), spec, SolverConfig(p=1, alpha=0.1))
+        solve_linear_p1(op, np.zeros(4), spec, SolverConfig(alpha=0.1))
 
 
 @pytest.mark.parametrize(
     "solve, p", [(solve_linear_p1, 1), (solve_linear_p2, 2), (solve_nonlinear, 2)]
 )
 def test_solvers_reject_bad_input(solve, p):
-    # one shared check: data length, penalty length and p, and the linear
-    # solvers' rejection of a nonlinear operator
+    # one shared check: data, penalty and start lengths, and the linear
+    # solvers' rejection of a nonlinear operator; each solver reports the
+    # objective of the data exponent p it fixes
     op = make_dense_linear(np.random.default_rng(4).standard_normal((4, 3)))
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    cfg = SolverConfig(p=p, alpha=0.1)
-    solve(op, np.zeros(4), spec, cfg)
+    cfg = SolverConfig(alpha=0.1)
+    report = solve(op, np.ones(4), spec, cfg)
+    assert report.residual_norm > 0.0
+    assert report.objective == report.residual_norm**p + 0.1 * report.penalty_value
     with pytest.raises(ValueError):
         solve(op, np.zeros(5), spec, cfg)
     with pytest.raises(ValueError):
         solve(op, np.zeros((1, 4)), spec, cfg)
     with pytest.raises(ValueError):
         solve(op, np.zeros(4), PenaltySpec.uniform(1.5, 1.0, 4), cfg)
-    with pytest.raises(ValueError):
-        solve(op, np.zeros(4), spec, SolverConfig(p=3 - p, alpha=0.1))
+    with pytest.raises(ValueError, match="starts of length 3"):
+        solve(op, np.zeros(4), spec, cfg, u0=np.zeros(4))
     toy = make_toy_nonlinear(np.zeros((4, 3)), np.ones((4, 3)), 0.1)
     if solve is solve_nonlinear:
         solve(toy, np.zeros(4), spec, cfg)
@@ -150,10 +169,8 @@ def test_solvers_reject_bad_input(solve, p):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "solve, p", [(solve_linear_p1, 1), (solve_linear_p2, 2), (solve_nonlinear, 2)]
-)
-def test_solvers_overflowing_data_is_not_converged(solve, p):
+@pytest.mark.parametrize("solve", [solve_linear_p1, solve_linear_p2, solve_nonlinear])
+def test_solvers_overflowing_data_is_not_converged(solve):
     # data of 1e300 overflow the residual norm (to inf, or nan through the
     # toy operator's u*u); the iterate stops moving, but is not optimal
     rng = np.random.default_rng(4)
@@ -163,7 +180,7 @@ def test_solvers_overflowing_data_is_not_converged(solve, p):
     else:
         op = make_dense_linear(a)
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    report = solve(op, np.full(4, 1e300), spec, SolverConfig(p=p, alpha=0.1))
+    report = solve(op, np.full(4, 1e300), spec, SolverConfig(alpha=0.1))
     assert not np.isfinite(report.residual_norm)
     assert not report.converged
 
@@ -180,7 +197,7 @@ def test_p2_kkt_certificate_smooth_q():
         spec = PenaltySpec.uniform(q, 1.0, 6)
         data = rng.standard_normal(10)
         report = solve_linear_p2(
-            op, data, spec, SolverConfig(p=2, alpha=0.4, tol=1e-13)
+            op, data, spec, SolverConfig(alpha=0.4, tol=1e-13)
         )
         assert report.converged
         assert _kkt_gap_q_smooth(op, data, spec, 0.4, report.minimizer) <= 1e-6
@@ -192,7 +209,7 @@ def test_p2_kkt_certificate_q1():
     spec = PenaltySpec.uniform(1.0, 1.0, 6)
     data = rng.standard_normal(10)
     alpha = 0.6
-    report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=alpha, tol=1e-13))
+    report = solve_linear_p2(op, data, spec, SolverConfig(alpha=alpha, tol=1e-13))
     u = report.minimizer
     grad = 2.0 * op.derivative_adjoint_apply(u, op.apply(u) - data)
     for i in range(6):
@@ -213,7 +230,7 @@ def test_p2_objective_not_above_reference():
     data = op.apply(u_ref) + 0.01 * rng.standard_normal(16)
     for q in (1.0, 1.5):
         spec = PenaltySpec.uniform(q, 1.0, 16)
-        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=0.05))
+        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.05))
         ref_objective = (
             float(np.linalg.norm(op.apply(u_ref) - data)) ** 2
             + 0.05 * penalty_value(u_ref, spec)
@@ -228,7 +245,7 @@ def test_p2_residual_monotone_in_alpha():
     data = rng.standard_normal(14)
     residuals = []
     for alpha in (1.0, 0.5, 0.2, 0.05, 0.01):
-        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=alpha))
+        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=alpha))
         residuals.append(report.residual_norm)
     # smaller alpha fits the data at least as well
     for larger, smaller in zip(residuals, residuals[1:]):
@@ -248,7 +265,7 @@ def test_p2_diagonal_matches_closed_form():
     data = op.apply(u_ref) + 1e-3 * rng.standard_normal(n)
     for q in (1.0, 1.5, 2.0):
         spec = PenaltySpec.uniform(q, 1.0, n)
-        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=1e-2))
+        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=1e-2))
         want = _prox_power(data / s, 1e-2 * spec.weights / (2.0 * s * s), q)
         assert report.converged
         assert report.iterations <= 20
@@ -267,7 +284,7 @@ def test_p2_dense_badly_scaled_columns():
     data = op.apply(u_ref) + delta * rng.standard_normal(64)
     for q in (1.0, 1.5):
         spec = PenaltySpec.uniform(q, 1.0, 32)
-        report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=delta))
+        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=delta))
         assert report.converged
         assert report.iterations <= 200
         u = report.minimizer
@@ -311,7 +328,7 @@ def test_p2_one_apply_and_one_adjoint_per_step(monkeypatch):
     op = Counting(rng.standard_normal((16, 24)))
     data = rng.standard_normal(16)
     spec = PenaltySpec.uniform(1.5, 1.0, 24)
-    report = solve_linear_p2(op, data, spec, SolverConfig(p=2, alpha=1e-2))
+    report = solve_linear_p2(op, data, spec, SolverConfig(alpha=1e-2))
     assert report.converged
     # the instance restarts a few times, which the bounds below allow for
     assert len(steps) > report.iterations
@@ -323,13 +340,13 @@ def test_p2_one_apply_and_one_adjoint_per_step(monkeypatch):
 def test_p1_zero_data_and_scalar_oracle():
     op = make_dense_linear(np.eye(3))
     spec = PenaltySpec.uniform(1.0, 1.0, 3)
-    report = solve_linear_p1(op, np.zeros(3), spec, SolverConfig(p=1, alpha=0.3))
+    report = solve_linear_p1(op, np.zeros(3), spec, SolverConfig(alpha=0.3))
     np.testing.assert_allclose(report.minimizer, np.zeros(3), atol=1e-10)
 
     scalar = make_dense_linear(np.array([[1.0]]))
     spec1 = PenaltySpec.uniform(1.0, 1.0, 1)
     report = solve_linear_p1(
-        scalar, np.array([2.0]), spec1, SolverConfig(p=1, alpha=0.5, max_iter=200000)
+        scalar, np.array([2.0]), spec1, SolverConfig(alpha=0.5, max_iter=200000)
     )
     # |x - 2| + 0.5|x| is minimized at x = 2
     assert report.minimizer[0] == pytest.approx(2.0, abs=1e-6)
@@ -346,7 +363,7 @@ def test_p1_recovers_sparse_reference():
     u_ref[[0, 2, 5]] = [1.2, -0.7, 0.9]
     spec = PenaltySpec.uniform(1.0, 1.0, 16)
     report = solve_linear_p1(
-        op, op.apply(u_ref), spec, SolverConfig(p=1, alpha=0.02, max_iter=200000)
+        op, op.apply(u_ref), spec, SolverConfig(alpha=0.02, max_iter=200000)
     )
     assert report.converged
     assert np.linalg.norm(report.minimizer - u_ref) <= 1e-6 * (
@@ -359,7 +376,7 @@ def test_p1_report_consistency():
     op = make_dense_linear(rng.standard_normal((8, 5)))
     spec = PenaltySpec.uniform(1.0, 1.0, 5)
     data = rng.standard_normal(8)
-    report = solve_linear_p1(op, data, spec, SolverConfig(p=1, alpha=0.2))
+    report = solve_linear_p1(op, data, spec, SolverConfig(alpha=0.2))
     resid = float(np.linalg.norm(op.apply(report.minimizer) - data))
     assert report.objective == pytest.approx(
         resid + 0.2 * report.penalty_value, rel=1e-10
@@ -377,7 +394,7 @@ def test_p1_exact_recovery_family_converges_fast():
             instance.operator,
             instance.clean_data,
             instance.spec,
-            SolverConfig(p=1, alpha=alpha, max_iter=200000),
+            SolverConfig(alpha=alpha, max_iter=200000),
         )
         assert report.converged
         assert report.iterations <= 100
@@ -396,7 +413,7 @@ def test_p1_dense_badly_scaled_columns():
     op = make_dense_linear(matrix)
     spec = PenaltySpec.uniform(1.0, 1.0, 64)
     report = solve_linear_p1(
-        op, op.apply(u_ref), spec, SolverConfig(p=1, alpha=0.01, max_iter=200000)
+        op, op.apply(u_ref), spec, SolverConfig(alpha=0.01, max_iter=200000)
     )
     assert report.converged
     assert report.objective <= 0.01 * penalty_value(u_ref, spec) + 1e-8
@@ -433,7 +450,7 @@ def test_p1_convolution_matches_scalar_step_minimizer():
     data = op.apply(u_ref) + 0.05 * rng.standard_normal(32)
     for q in (1.0, 1.5):
         spec = PenaltySpec.uniform(q, 1.0, 32)
-        report = solve_linear_p1(op, data, spec, SolverConfig(p=1, alpha=0.1, tol=1e-13))
+        report = solve_linear_p1(op, data, spec, SolverConfig(alpha=0.1, tol=1e-13))
         assert report.converged
         want = _scalar_step_pdhg(op, data, spec, 0.1, 1e-13)
         assert np.max(np.abs(report.minimizer - want)) <= 1e-8
@@ -449,7 +466,7 @@ def test_p1_zero_column_goes_to_zero():
     spec = PenaltySpec.uniform(1.0, 1.0, 5)
     data = rng.standard_normal(8)
     u0 = np.full(5, 3.0)
-    report = solve_linear_p1(op, data, spec, SolverConfig(p=1, alpha=0.2), u0=u0)
+    report = solve_linear_p1(op, data, spec, SolverConfig(alpha=0.2), u0=u0)
     assert report.converged
     assert np.all(np.isfinite(report.minimizer))
     assert np.isfinite(report.objective)
@@ -459,7 +476,7 @@ def test_p1_zero_column_goes_to_zero():
         make_dense_linear(np.zeros((3, 2))),
         np.ones(3),
         PenaltySpec.uniform(1.0, 1.0, 2),
-        SolverConfig(p=1, alpha=0.2),
+        SolverConfig(alpha=0.2),
         u0=np.ones(2),
     )
     assert zero.converged
@@ -474,7 +491,7 @@ def test_nonlinear_linear_degeneration():
     linear = make_dense_linear(a)
     spec = PenaltySpec.uniform(1.5, 1.0, 6)
     data = rng.standard_normal(10)
-    cfg = SolverConfig(p=2, alpha=0.3, tol=1e-12)
+    cfg = SolverConfig(alpha=0.3, tol=1e-12)
     got = solve_nonlinear(op, data, spec, cfg)
     want = solve_linear_p2(linear, data, spec, cfg)
     assert np.max(np.abs(got.minimizer - want.minimizer)) <= 1e-8
@@ -489,7 +506,7 @@ def test_nonlinear_stationary_start():
     u_ref[[1, 4]] = [1.0, -0.6]
     spec = PenaltySpec.uniform(1.5, 1.0, 6)
     data = op.apply(u_ref)
-    cfg = SolverConfig(p=2, alpha=0.1)
+    cfg = SolverConfig(alpha=0.1)
     report = solve_nonlinear(op, data, spec, cfg, u0=u_ref)
     assert report.converged
     ref_objective = 0.1 * penalty_value(u_ref, spec)
@@ -505,7 +522,7 @@ def test_nonlinear_cross_solver_comparison():
     u_ref[[0, 3, 6]] = [0.9, -1.1, 0.7]
     data = op.apply(u_ref)
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
-    cfg = SolverConfig(p=2, alpha=0.05, tol=1e-12)
+    cfg = SolverConfig(alpha=0.05, tol=1e-12)
     nonlinear_report = solve_nonlinear(op, data, spec, cfg)
 
     jac = a + 1e-3 * 2.0 * b * u_ref[np.newaxis, :]
@@ -538,18 +555,17 @@ def test_nonlinear_inner_solves_make_no_derivative_applies():
     u_ref = np.zeros(8)
     u_ref[[0, 3, 6]] = [0.9, -1.1, 0.7]
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
-    report = solve_nonlinear(op, op.apply(u_ref), spec, SolverConfig(p=2, alpha=0.05))
+    report = solve_nonlinear(op, op.apply(u_ref), spec, SolverConfig(alpha=0.05))
     assert report.converged
     assert report.iterations > 1
     assert calls == {}
 
 
 def test_nonlinear_rejects_p1():
-    rng = np.random.default_rng(10)
-    op = make_toy_nonlinear(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), 0.1)
-    spec = PenaltySpec.uniform(1.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        solve_nonlinear(op, np.zeros(4), spec, SolverConfig(p=1, alpha=0.1))
+    # the instance decides p where it is built: p = 1 needs a linear operator
+    with pytest.raises(ValueError, match="p = 1 needs a linear operator"):
+        generate_problem("toy-nonlinear", 6, m=8, sparsity=2, q=1.0, p=1)
+    assert generate_problem("toy-nonlinear", 6, m=8, sparsity=2, q=1.0, p=2).p == 2
 
 
 # --- batched p = 2 solves: every row as if solved alone --------------------
@@ -580,8 +596,8 @@ def _batch_operator(kind, rng):
 @pytest.mark.parametrize("q", [1.0, 1.3, 1.5, 2.0])
 @pytest.mark.parametrize("kind", ["diagonal", "convolution", "dense", "toy"])
 def test_batched_p2_rows_match_single_solves(kind, q):
-    # rows with different alpha, tol and max_iter stop after different
-    # numbers of iterations (and restarts), one at its iteration cap; each
+    # rows with different alpha and tol stop after different numbers of
+    # iterations (and restarts), some at the batch's iteration cap; each
     # must equal its own single solve
     rng = np.random.default_rng(11)
     op = _batch_operator(kind, rng)
@@ -589,21 +605,17 @@ def test_batched_p2_rows_match_single_solves(kind, q):
     u_ref[[1, 5, 9]] = [1.0, -0.8, 0.6]
     spec = PenaltySpec.uniform(q, 1.0, op.n)
     data = op.apply(u_ref) + 1e-2 * rng.standard_normal((5, op.m))
-    cfgs = [
-        SolverConfig(p=2, alpha=alpha, tol=tol, max_iter=max_iter)
-        for alpha, tol, max_iter in (
-            (1e-2, 1e-10, 50000),
-            (3e-2, 1e-6, 50000),
-            (5e-3, 1e-8, 50000),
-            (0.2, 1e-12, 50000),
-            (1e-2, 1e-12, 3),
-        )
-    ]
-    batch = solver._solve_p2(op, data, spec, cfgs)
+    alpha = [1e-2, 3e-2, 5e-3, 0.2, 1e-2]
+    tol = [1e-10, 1e-6, 1e-8, 1e-12, 1e-12]
+    max_iter = {"diagonal": 8, "convolution": 60, "dense": 100, "toy": 16}[kind]
+    batch = solver._solve_p2(op, data, spec, alpha, tol, max_iter)
     single = solve_nonlinear if kind == "toy" else solve_linear_p2
-    alone = [single(op, row, spec, cfg) for row, cfg in zip(data, cfgs)]
+    alone = [
+        single(op, row, spec, SolverConfig(alpha=a, tol=t, max_iter=max_iter))
+        for row, a, t in zip(data, alpha, tol)
+    ]
     assert len({report.iterations for report in alone}) > 1
-    assert not alone[-1].converged
+    assert not all(report.converged for report in alone)
     for got, want in zip(batch, alone):
         _same_report(got, want)
 
@@ -613,8 +625,8 @@ def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
     op = _batch_operator("toy", rng)
     spec = PenaltySpec.uniform(1.5, 1.0, op.n)
     data = rng.standard_normal((5, op.m))
-    cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.02, 0.3, 0.05, 0.01)]
-    whole = solver._solve_p2(op, data, spec, cfgs)
+    rows = ([0.1, 0.02, 0.3, 0.05, 0.01], [1e-10] * 5, 50000)
+    whole = solver._solve_p2(op, data, spec, *rows)
     chunks = []
     real = solver._gauss_newton
 
@@ -625,7 +637,7 @@ def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
     monkeypatch.setattr(solver, "_gauss_newton", counting)
     # room for the Jacobians of two rows per chunk
     monkeypatch.setattr(solver, "_JACOBIAN_STACK_ENTRIES", 2 * op.m * op.n + 1)
-    chunked = solver._solve_p2(op, data, spec, cfgs)
+    chunked = solver._solve_p2(op, data, spec, *rows)
     assert chunks == [2, 2, 1]
     for got, want in zip(chunked, whole):
         _same_report(got, want)
@@ -638,7 +650,6 @@ def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
     op = _batch_operator("toy", rng)
     spec = PenaltySpec.uniform(1.5, 1.0, op.n)
     data = rng.standard_normal((3, op.m))
-    cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.02, 0.3)]
     stacks = []
     real = solver._linearize
 
@@ -649,7 +660,7 @@ def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
         return linear, linear_data
 
     monkeypatch.setattr(solver, "_linearize", recording)
-    solver._solve_p2(op, data, spec, cfgs)
+    solver._solve_p2(op, data, spec, [0.1, 0.02, 0.3], [1e-10] * 3, 50000)
     assert len(stacks) > 1
 
 
@@ -660,19 +671,24 @@ def test_batched_zero_jacobian_row_matches_single():
     mats = np.array([rng.standard_normal((10, 6)), np.zeros((10, 6)), rng.standard_normal((10, 6))])
     spec = PenaltySpec.uniform(1.5, 1.0, 6)
     data = rng.standard_normal((3, 10))
-    cfgs = [SolverConfig(p=2, alpha=a) for a in (0.1, 0.2, 0.05)]
+    alpha, tol = np.array([0.1, 0.2, 0.05]), np.full(3, 1e-10)
     start = rng.standard_normal((3, 6))
     # the loop compacts a stack in place, so each call gets its own copy
     stack = _DenseLinear(mats.copy())
     metric = solver._jacobi_metric(stack, start)
-    got = (*solver._forward_backward_p2(stack, data, spec, cfgs, metric), metric[2])
+    zeros = np.zeros((3, 6))
+    got = solver._forward_backward_p2(stack, data, spec, alpha, tol, 50000, metric, zeros)
+    got = (*got, metric[2])
     assert got[1][1] == 0 and got[2][1] and not got[0][1].any()
     assert got[3][1].tobytes() == start[1].tobytes()
     for b in range(3):
         single = _DenseLinear(mats[b : b + 1].copy())
         metric = solver._jacobi_metric(single, start[b : b + 1])
+        rows = slice(b, b + 1)
         want = (
-            *solver._forward_backward_p2(single, data[b : b + 1], spec, cfgs[b : b + 1], metric),
+            *solver._forward_backward_p2(
+                single, data[rows], spec, alpha[rows], tol[rows], 50000, metric, zeros[rows]
+            ),
             metric[2],
         )
         assert got[0][b].tobytes() == want[0][0].tobytes()
