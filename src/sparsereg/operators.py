@@ -137,13 +137,13 @@ class ForwardOperator(ABC):
             unit[j] = 0.0
         return cols
 
-    def _rows(self, keep, in_place: bool = False) -> "ForwardOperator":
+    def _rows(self, keep) -> "ForwardOperator":
         """The operator that acts on the batch rows `keep`.
 
         One operator serves every row; a stack with one operator per row
-        overrides this to keep only the given rows.  in_place lets such a
-        stack move the kept rows to the front of its own storage instead
-        of copying them, for a caller that drops the operator itself.
+        overrides this to keep only the given rows, which it moves to the
+        front of its own storage instead of copying them, so the caller
+        drops the operator it called this on.
         """
         return self
 
@@ -188,11 +188,9 @@ class _DenseLinear(ForwardOperator):
     def derivative_columns(self, at, columns):
         return self.matrix[..., np.asarray(columns, dtype=np.intp)]
 
-    def _rows(self, keep, in_place=False):
+    def _rows(self, keep):
         if self.matrix.ndim == 2:
             return self
-        if not in_place:
-            return _DenseLinear(self.matrix[keep])
         moved = np.flatnonzero(keep != np.arange(keep.size))
         self.matrix[moved] = self.matrix[keep[moved]]
         return _DenseLinear(self.matrix[: keep.size])

@@ -2,16 +2,19 @@
 
 Minimizes ||F(u) - v||^p + alpha * R(u) for p in {1, 2}, where R is the
 weighted lq penalty.  The p = 2 linear path is an accelerated
-forward-backward method kept monotone by restarts; the p = 1 linear path
-is a primal-dual iteration handling the nonsmooth data norm.  Both scale
-their primal steps per column by the same diagonal (Jacobi) metric.  The
-nonlinear path wraps the p = 2 solver in a damped Gauss-Newton outer loop.
+forward-backward method kept monotone by restarts, with one prox call per
+iteration; the p = 1 linear path is a primal-dual iteration handling the
+nonsmooth data norm.  Both scale their primal steps per column by the same
+diagonal (Jacobi) metric.  The nonlinear path wraps the p = 2 solver in a
+damped, inexact Gauss-Newton outer loop, whose inner solves tighten
+towards each row's tol.
 
 The p = 2 paths solve a batch of data rows at once, each row with its own
 alpha and tol and all with one max_iter: one (B, m) stack and one loop,
 from which each row leaves when it stops.  Every reduction is a stacked
 per-row product, so each row is bit-identical to solving it alone; a
-single solve is a batch of one.
+single solve is a batch of one.  Rows of a nonlinear batch at one
+linearization point share its Jacobian and its metric.
 """
 
 import math
@@ -46,8 +49,9 @@ class SolverConfig:
 
     max_iter caps the iterations and tol is a relative iterate-change
     threshold.  Each solver fixes its own data exponent p, and checks
-    these values when it runs.  The nonlinear path runs its linearized
-    subproblem solves with the same max_iter and tol as its outer loop.
+    these values when it runs.  The nonlinear path caps its linearized
+    subproblem solves at the same max_iter, and runs them to a tolerance
+    that starts looser than tol and tightens down to it.
     """
 
     alpha: float
@@ -151,7 +155,8 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     Returns (t, L, top eigenvector, zero), where zero flags an operator
     whose every column is zero; the solvers do not iterate on it, its t
     and L are placeholders and its top is `start`.  A _DenseLinear stack
-    of matrices gets one of each per matrix, and needs a (B, n) `start`.
+    of matrices gets one of each per matrix, and needs a (B, n) `start`;
+    Gauss-Newton passes one matrix per distinct linearization point.
     """
     with np.errstate(divide="ignore"):
         t = 1.0 / op.column_norms_sq()
@@ -186,9 +191,11 @@ def solve_linear_p2(
     operator, D majorizes K^T K for every linear kind; for K = diag(k) it
     is K^T K/s, so the iteration is near-exact in one step.  Coordinate j
     steps by s*t_j/L, and its prox threshold is that step times
-    alpha*w_j/2.  A monotone restart discards the accelerated candidate
-    whenever it would increase the objective, falling back to a plain
-    step, which keeps the objective of the iterates nonincreasing.
+    alpha*w_j/2.  A monotone restart (O'Donoghue & Candes 2015) keeps the
+    iterate whenever the accelerated candidate would increase the
+    objective and resets the momentum, so the next iteration is a plain
+    step; the objective of the iterates never increases.  A plain step
+    that would increase it ends the solve.
     """
     if not op.is_linear:
         raise ValueError("this solver handles linear operators only")
@@ -227,8 +234,8 @@ class _LiveRows(NamedTuple):
     alpha: np.ndarray
     tol: np.ndarray
 
-    def take(self, keep, in_place=False) -> "_LiveRows":
-        return _LiveRows(self.op._rows(keep, in_place), *(v[keep] for v in self[1:]))
+    def take(self, keep) -> "_LiveRows":
+        return _LiveRows(self.op._rows(keep), *(v[keep] for v in self[1:]))
 
 
 def _kept_rows(done):
@@ -255,7 +262,7 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
     (B, n) minimizers, iteration counts and convergence flags.  The loop
     carries the image K u of each iterate next to it: since K is linear,
     the extrapolated point's image is the same combination of the images,
-    so each forward-backward step makes one apply (of its result, which
+    so each iteration makes one prox call, one apply (of its result, which
     the objective reuses) and one adjoint apply.
     """
     rows, n = data.shape[0], op.n
@@ -273,52 +280,53 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
     live = np.flatnonzero(~zero)
     step = (_STEP_SAFETY / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
     part = _LiveRows(
-        op._rows(live, in_place=True),
+        op._rows(live),
         data[live],
         step,
         step * (alpha[live] / 2.0)[:, None] * spec.weights,
         alpha[live],
         tol[live],
     )
-
-    def forward_backward(part, u, image):
-        grad = part.op.derivative_adjoint_apply(u, image - part.data)
-        nxt = _prox_power(u - part.step * grad, part.thresh, spec.q)
-        nxt_image = part.op.apply(nxt)
-        return nxt, nxt_image, _objective(nxt, nxt_image, part.data, part.alpha, spec)
-
     x, x_image, obj = x[live], x_image[live], obj[live]
     y, y_image = x, x_image
     momentum = np.ones(live.size)
+    # rows whose y is x, so that their next step is a plain one
+    plain = np.ones(live.size, dtype=bool)
     iteration = 0
     while live.size:
         iteration += 1
-        cand, cand_image, cand_obj = forward_backward(part, y, y_image)
-        back = np.flatnonzero(cand_obj > obj)
-        if back.size:
-            # restart: the plain step from x cannot increase the objective
-            momentum[back] = 1.0
-            cand[back], cand_image[back], cand_obj[back] = forward_backward(
-                part.take(back), x[back], x_image[back]
-            )
-            stuck = back[cand_obj[back] > obj[back]]
-            cand[stuck], cand_image[stuck], cand_obj[stuck] = x[stuck], x_image[stuck], obj[stuck]
+        grad = part.op.derivative_adjoint_apply(y, y_image - part.data)
+        cand = _prox_power(y - part.step * grad, part.thresh, spec.q)
+        cand_image = part.op.apply(cand)
+        cand_obj = _objective(cand, cand_image, part.data, part.alpha, spec)
+        # restart: a row whose candidate raises its objective keeps x and
+        # resets its momentum, so its next step is the plain step from x,
+        # which cannot raise it; a row whose plain step raised it is stuck
+        # and stops below, since it has not moved
+        worse = cand_obj > obj
+        back = worse & ~plain
         momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        beta = ((momentum - 1.0) / momentum_next)[:, None]
+        beta = (momentum - 1.0) / momentum_next
+        if worse.any():
+            cand[worse], cand_image[worse], cand_obj[worse] = x[worse], x_image[worse], obj[worse]
+            momentum_next[back], beta[back] = 1.0, 0.0
+        plain = beta == 0.0
+        beta = beta[:, None]
         y = cand + beta * (cand - x)
         y_image = cand_image + beta * (cand_image - x_image)
         shift = cand - x
         shift = np.sqrt(_row_dots(shift, shift))
         x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
-        stop = shift <= part.tol * (1.0 + np.sqrt(_row_dots(x, x)))
+        # a restarting row has not moved, which is no sign of convergence
+        stop = ~back & (shift <= part.tol * (1.0 + np.sqrt(_row_dots(x, x))))
         done = stop | (iteration >= max_iter)
         if done.any():
             ended = live[done]
             out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
             keep = _kept_rows(done)
-            live, part = live[keep], part.take(keep, in_place=True)
-            x, x_image, y, y_image, obj, momentum = (
-                v[keep] for v in (x, x_image, y, y_image, obj, momentum)
+            live, part = live[keep], part.take(keep)
+            x, x_image, y, y_image, obj, momentum, plain = (
+                v[keep] for v in (x, x_image, y, y_image, obj, momentum, plain)
             )
     return out, iterations, converged
 
@@ -405,25 +413,58 @@ def solve_nonlinear(
     assembling its derivative once as a dense matrix (`derivative_columns`),
     solve the resulting linear p=2 problem warm-started there, then damp
     the step by halving (at most 20 times) until the true objective does
-    not increase.  Inner solves use the outer max_iter and tol.
-    Each step computes the Jacobi metric of its Jacobian by power
-    iteration started from the previous step's top eigenvector, since
-    consecutive linearizations are close.  A linear F needs no outer loop
-    and is solved as by solve_linear_p2.
+    not increase.  Inner solves are inexact (Dembo, Eisenstat & Steihaug
+    1982): the first runs to a loose tolerance, and each later one to a
+    tighter one set by the last outer step, down to tol; the solve stops
+    only after a step whose inner solve ran at tol.  Inner solves share
+    the outer max_iter.  Each step computes the Jacobi metric of its
+    Jacobian by power iteration started from the previous step's top
+    eigenvector, since consecutive linearizations are close.  A linear F
+    needs no outer loop and is solved as by solve_linear_p2.
     """
     return _one_row(_solve_p2, op, data, spec, cfg, u0)
 
 
-def _linearize(op, base, data):
+def _distinct_first(base, start):
+    """An order of the (B, n) rows of base and start that puts one row of
+    each group of bitwise-equal (base, start) pairs first, and the group of
+    each row in that order.
+
+    Group g's first row lands at position g, so rows 0 .. k-1 of the order
+    are the k distinct pairs.  The rows of a group have equal Jacobians and
+    equal metrics, so the first row's serve them all.
+    """
+    groups = {}
+    group = np.array(
+        [groups.setdefault(b.tobytes() + s.tobytes(), len(groups)) for b, s in zip(base, start)]
+    )
+    first = np.zeros(group.size, dtype=bool)
+    first[np.unique(group, return_index=True)[1]] = True
+    order = np.argsort(~first, kind="stable")
+    return order, group[order]
+
+
+def _linearize(op, base, data, group):
     """The Jacobians of F at the (B, n) rows of base, and the data of the
-    linearized problems, v - F(u) + F'(u) u per row."""
+    linearized problems, v - F(u) + F'(u) u per row.
+
+    Row b copies the Jacobian of row group[b] <= b, which has its base.
+    """
     jacobians = np.empty((base.shape[0], op.m, op.n))
-    for jacobian, u in zip(jacobians, base):
-        jacobian[...] = op.derivative_columns(u, range(op.n))
+    for b, (u, g) in enumerate(zip(base, group)):
+        jacobians[b] = op.derivative_columns(u, range(op.n)) if g == b else jacobians[g]
     if not np.all(np.isfinite(jacobians)):
         raise ValueError("matrix entries must be finite")
     linear = _DenseLinear(jacobians)
     return linear, data - op.apply(base) + linear.apply(base)
+
+
+# Inexact Gauss-Newton (Dembo, Eisenstat & Steihaug 1982): a row's first
+# inner solve runs to _INNER_TOL_START, and each later one to
+# _INNER_FORCING times the square of the row's last relative outer step;
+# never looser than the one before, and never tighter than the row's tol
+_INNER_TOL_START = 1e-4
+_INNER_FORCING = 1e-6
 
 
 def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
@@ -432,7 +473,11 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
     The rows take their Gauss-Newton steps in lockstep: each step stacks
     the rows' Jacobians into one _DenseLinear stack, solves every linearized
     problem in one batched inner solve, and halves each row's step on its
-    own.  A row leaves the batch when it stops.
+    own.  Rows at bitwise-equal points (with equal power-iteration starts)
+    share one Jacobian and one metric.  A row stops when a step whose inner
+    solve ran at its own tol moves it less than tol or finds no descent; a
+    row with no descent at a looser inner tol retries at its tol, and a
+    row whose objective is not finite needs no such step to stop.
     """
     rows, n = data.shape[0], op.n
 
@@ -444,17 +489,22 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
     obj = objective(live, u)
     # normalizing the seeded vector is the power iteration's own cold start
     top = np.tile(_power_start(n), (rows, 1))
+    inner = np.maximum(tol, _INNER_TOL_START)
     iterations = np.zeros(rows, dtype=np.int64)
     converged = np.zeros(rows, dtype=bool)
     iteration = 0
     while live.size:
         iteration += 1
-        base = u[live]
-        jacobians, linear_data = _linearize(op, base, data[live])
-        metric = _jacobi_metric(jacobians, top[live])
+        order, group = _distinct_first(u[live], top[live])
+        live = live[order]
+        base, k = u[live], group.max() + 1
+        jacobians, linear_data = _linearize(op, base, data[live], group)
+        # the first k rows are distinct; each other row shares its group's metric
+        metric = _jacobi_metric(_DenseLinear(jacobians.matrix[:k]), top[live[:k]])
+        metric = tuple(v[group] for v in metric)
         top[live] = metric[2]
         x = _forward_backward_p2(
-            jacobians, linear_data, spec, alpha[live], tol[live], max_iter, metric, base
+            jacobians, linear_data, spec, alpha[live], inner[live], max_iter, metric, base
         )[0]
         # the Jacobian stack is not kept, so it is freed before the next
         # step allocates its own
@@ -471,14 +521,19 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
             cand[damp] = base[damp] + step[damp]
             cand_obj[damp] = objective(live[damp], cand[damp])
             halvings[damp] += 1
-        # no descent direction left at its linearization: the row stops
+        # no descent found along its Gauss-Newton step: the row is stuck
         stuck = cand_obj > obj[live]
         shift = cand - base
         shift = np.sqrt(_row_dots(shift, shift))
         moved = live[~stuck]
         u[moved], obj[moved] = cand[~stuck], cand_obj[~stuck]
         now = u[live]
-        stop = stuck | (shift <= tol[live] * (1.0 + np.sqrt(_row_dots(now, now))))
+        scale = 1.0 + np.sqrt(_row_dots(now, now))
+        settled = (inner[live] == tol[live]) | ~np.isfinite(obj[live])
+        stop = (stuck | (shift <= tol[live] * scale)) & settled
+        # a stuck row made no progress, so its next inner solve runs at its tol
+        progress = np.where(stuck, 0.0, shift / scale)
+        inner[live] = np.fmax(tol[live], np.fmin(inner[live], _INNER_FORCING * progress**2))
         iterations[live], converged[live] = iteration, stop
         live = live[~stop & (iteration < max_iter)]
     return _reports(op, data, spec, 2, alpha, u, iterations, converged)
