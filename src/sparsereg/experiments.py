@@ -29,7 +29,7 @@ from .operators import (
     make_toy_nonlinear,
 )
 from .penalty import PenaltySpec, penalty_subgradient
-from .solver import SolverConfig, _solve_p1, _solve_p2, solve_linear_p1
+from .solver import solve
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -318,18 +318,8 @@ def solve_instance(
     tol: float = 1e-10,
     max_iter: int = 50000,
 ):
-    """Solve one regularized problem, dispatching on p and linearity."""
-    return _solve_cells(instance, [data], [alpha], [tol], max_iter)[0]
-
-
-def _solve_cells(instance: ProblemInstance, data, alphas, tols, max_iter: int) -> list:
-    """One report per data row, row b solved with alphas[b] and tols[b].
-
-    p = 2 rows, linear or not, go through one batched solve; p = 1 rows
-    go one at a time through the primal-dual solver.
-    """
-    solve = _solve_p1 if instance.p == 1 else _solve_p2
-    return solve(instance.operator, data, instance.spec, alphas, tols, max_iter)
+    """Solve one regularized problem with the instance's operator, penalty and p."""
+    return solve(instance.operator, data, instance.spec, instance.p, alpha, tol, max_iter)
 
 
 def run_sweep(
@@ -375,7 +365,8 @@ def run_sweep(
             for level, trial in cells
         ]
     )
-    reports = _solve_cells(instance, noisy, alphas, tols, solver_max_iter)
+    reports = solve(instance.operator, noisy, instance.spec, instance.p, alphas, tols,
+                    solver_max_iter)
 
     outcomes = []
     for (level, trial), alpha, tol, report in zip(cells, alphas, tols, reports):
@@ -437,8 +428,8 @@ def exact_recovery_test(
     if instance.certificate is not None and instance.certificate.source_norm > 0.0:
         if alpha >= 1.0 / instance.certificate.source_norm:
             return RecoveryReport(status="inapplicable", error=float("nan"), threshold=threshold)
-    cfg = SolverConfig(alpha=alpha, max_iter=solver_max_iter, tol=solver_tol)
-    report = solve_linear_p1(instance.operator, instance.clean_data, instance.spec, cfg)
+    report = solve(instance.operator, instance.clean_data, instance.spec, 1, alpha, solver_tol,
+                   solver_max_iter)
     error = float(np.linalg.norm(report.minimizer - instance.u_dagger))
     return RecoveryReport(
         status="pass" if error <= threshold else "fail",

@@ -1,20 +1,22 @@
 """First-order solvers for the penalized data-fit functional.
 
-Minimizes ||F(u) - v||^p + alpha * R(u) for p in {1, 2}, where R is the
-weighted lq penalty.  The p = 2 linear path is an accelerated
-forward-backward method kept monotone by restarts, with one prox call per
-iteration; the p = 1 linear path is a primal-dual iteration handling the
-nonsmooth data norm.  Both scale their primal steps per column by the same
-diagonal (Jacobi) metric.  The nonlinear path wraps the p = 2 solver in a
-damped, inexact Gauss-Newton outer loop, whose inner solves tighten
-towards each row's tol.
+`solve` minimizes ||F(u) - v||^p + alpha * R(u) for p in {1, 2}, where R
+is the weighted lq penalty, and picks one of three kernels from p and the
+operator.  The p = 2 linear kernel is an accelerated forward-backward
+method kept monotone by restarts, with one prox call per iteration; the
+p = 1 kernel (linear operators only) is a primal-dual iteration handling
+the nonsmooth data norm.  Both scale their primal steps per column by the
+same diagonal (Jacobi) metric.  The p = 2 nonlinear kernel wraps the
+forward-backward one in a damped, inexact Gauss-Newton outer loop, whose
+inner solves tighten towards each row's tol.
 
-The p = 2 paths solve a batch of data rows at once, each row with its own
-alpha and tol and all with one max_iter: one (B, m) stack and one loop,
-from which each row leaves when it stops.  Every reduction is a stacked
-per-row product, so each row is bit-identical to solving it alone; a
-single solve is a batch of one.  Rows of a nonlinear batch at one
-linearization point share its Jacobian and its metric.
+`solve` takes one data vector, or a batch of data rows, each row with its
+own alpha and tol and all with one max_iter.  The p = 2 kernels iterate
+on one (B, m) stack in one loop, from which each row leaves when it
+stops; every reduction is a stacked per-row product, so each row is
+bit-identical to solving it alone.  Rows of a nonlinear batch at one
+linearization point share its Jacobian and its metric.  The p = 1 rows
+iterate one after another.
 """
 
 import math
@@ -26,37 +28,15 @@ import numpy as np
 from .operators import ForwardOperator, _DenseLinear, _power_iteration, _power_start, _row_dots
 from .penalty import PenaltySpec, _penalty_value, _prox_power
 
-__all__ = [
-    "SolverConfig",
-    "SolveReport",
-    "solve_linear_p2",
-    "solve_linear_p1",
-    "solve_nonlinear",
-]
+__all__ = ["SolveReport", "solve"]
 
 
 # Safety factor s on the Jacobi-scaled operator norm L = ||K T^(1/2)||^2,
 # T = diag(t), t_j = 1/||K[:, j]||^2, which power iteration estimates from
-# slightly below.  Both linear solvers use it: coordinate j of the p = 2 step
+# slightly below.  Both linear kernels use it: coordinate j of the p = 2 step
 # is s*t_j/L, and the p = 1 primal-dual steps satisfy
 # sigma*||K diag(tau)^(1/2)||^2 = s^2.
 _STEP_SAFETY = 0.99
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Penalty weight alpha and iteration controls of one solve.
-
-    max_iter caps the iterations and tol is a relative iterate-change
-    threshold.  Each solver fixes its own data exponent p, and checks
-    these values when it runs.  The nonlinear path caps its linearized
-    subproblem solves at the same max_iter, and runs them to a tolerance
-    that starts looser than tol and tightens down to it.
-    """
-
-    alpha: float
-    max_iter: int = 50000
-    tol: float = 1e-10
 
 
 @dataclass
@@ -103,25 +83,24 @@ def _reports(op, data, spec, p, alpha, x, iterations, converged) -> list:
     ]
 
 
-def _one_row(batch, op, data, spec, cfg: SolverConfig, u0) -> SolveReport:
-    """Solve one data vector as a batch of one row."""
-    u0 = None if u0 is None else [u0]
-    return batch(op, np.asarray(data)[None], spec, [cfg.alpha], [cfg.tol], cfg.max_iter, u0)[0]
-
-
 def _objective(u, image, data, alpha, spec):
     """Per-row ||image - data||^2 + alpha*R(u) of (B, .) stacks."""
     r = image - data
     return _row_dots(r, r) + alpha * _penalty_value(u, spec)
 
 
-def _check(op: ForwardOperator, data, spec: PenaltySpec, alpha, tol, max_iter: int, u0):
+def _check(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol, max_iter: int, u0):
     """The (B, m) data and the per-row (B,) alpha and tol as float64, and
     the (B, n) starts (zero unless given) as a new float64 array.
 
-    Every solve goes through here: alpha and tol must be positive and
-    finite, and max_iter at least 1.
+    Every solve goes through here: p must be 1 or 2, and p = 1 needs a
+    linear operator; alpha and tol must be positive and finite, and
+    max_iter at least 1.
     """
+    if p not in (1, 2):
+        raise ValueError(f"data exponent p must be 1 or 2, got {p}")
+    if p == 1 and not op.is_linear:
+        raise ValueError("data exponent p = 1 needs a linear operator")
     data = np.asarray(data, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     tol = np.asarray(tol, dtype=np.float64)
@@ -175,53 +154,42 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     return t, lip, top, zero
 
 
-def solve_linear_p2(
-    op: ForwardOperator,
-    data,
-    spec: PenaltySpec,
-    cfg: SolverConfig,
-    u0=None,
-) -> SolveReport:
-    """Minimize ||Fu - v||^2 + alpha*R(u) for linear F.
+def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max_iter=50000,
+          u0=None):
+    """Minimize ||F(u) - v||^p + alpha*R(u) for p = 1 or 2.
 
-    Accelerated forward-backward iteration on the equivalent half-scaled
-    objective in the diagonal (Jacobi) metric D = (L/s) T^-1 (variable
-    metric, Combettes & Vu 2014), with t_j = 1/||K[:, j]||^2,
-    L = ||K T^(1/2)||^2 and s = _STEP_SAFETY.  Since L bounds the scaled
-    operator, D majorizes K^T K for every linear kind; for K = diag(k) it
-    is K^T K/s, so the iteration is near-exact in one step.  Coordinate j
-    steps by s*t_j/L, and its prox threshold is that step times
-    alpha*w_j/2.  A monotone restart (O'Donoghue & Candes 2015) keeps the
-    iterate whenever the accelerated candidate would increase the
-    objective and resets the momentum, so the next iteration is a plain
-    step; the objective of the iterates never increases.  A plain step
-    that would increase it ends the solve.
+    (m,) data with a scalar alpha and tol, and an (n,) start u0 if given,
+    returns one SolveReport.  (B, m) data with (B,) alpha and tol, and
+    (B, n) starts if given, returns B reports, row b solved with alpha[b]
+    and tol[b] and every row with max_iter; each report is bit-identical
+    to solving its row alone.  max_iter caps the iterations and tol is a
+    relative iterate-change threshold; the start is zero unless given.
+
+    On a linear operator p = 1 runs _primal_dual_p1 and p = 2 runs
+    _forward_backward_p2, each with one Jacobi metric.  p = 1 needs a
+    linear operator; p = 2 on a nonlinear one runs _gauss_newton, in
+    chunks of rows whose Jacobian stack keeps under _JACOBIAN_STACK_ENTRIES
+    entries.  Gauss-Newton caps its linearized subproblem solves at the
+    same max_iter, and runs them to a tolerance that starts looser than
+    tol and tightens down to it.
     """
-    if not op.is_linear:
-        raise ValueError("this solver handles linear operators only")
-    return _one_row(_solve_p2, op, data, spec, cfg, u0)
-
-
-def _solve_p2(op, data, spec, alpha, tol, max_iter: int, u0=None) -> list:
-    """One SolveReport per row of the (B, m) data, row b solved with
-    alpha[b] and tol[b] of the (B,) alpha and tol, every row with max_iter.
-
-    The batch form of solve_linear_p2 (linear op) and solve_nonlinear
-    (nonlinear op); `u0`, when given, holds one start per row.  Each
-    report is bit-identical to solving its row alone.  A nonlinear batch
-    runs in chunks of rows whose Jacobian stack keeps under
-    _JACOBIAN_STACK_ENTRIES entries.
-    """
-    data, alpha, tol, u0 = _check(op, data, spec, alpha, tol, max_iter, u0)
+    single = np.ndim(data) == 1
+    if single:
+        data, alpha, tol, u0 = [data], [alpha], [tol], None if u0 is None else [u0]
+    data, alpha, tol, u0 = _check(op, data, spec, p, alpha, tol, max_iter, u0)
     if op.is_linear:
-        solved = _forward_backward_p2(op, data, spec, alpha, tol, max_iter, _jacobi_metric(op), u0)
-        return _reports(op, data, spec, 2, alpha, *solved)
-    chunk = max(1, _JACOBIAN_STACK_ENTRIES // (op.m * op.n))
-    reports = []
-    for lo in range(0, len(data), chunk):
-        rows = slice(lo, lo + chunk)
-        reports += _gauss_newton(op, data[rows], spec, alpha[rows], tol[rows], max_iter, u0[rows])
-    return reports
+        kernel = _primal_dual_p1 if p == 1 else _forward_backward_p2
+        solved = kernel(op, data, spec, alpha, tol, max_iter, _jacobi_metric(op), u0)
+        reports = _reports(op, data, spec, p, alpha, *solved)
+    else:
+        chunk = max(1, _JACOBIAN_STACK_ENTRIES // (op.m * op.n))
+        reports = []
+        for lo in range(0, len(data), chunk):
+            rows = slice(lo, lo + chunk)
+            reports += _gauss_newton(
+                op, data[rows], spec, alpha[rows], tol[rows], max_iter, u0[rows]
+            )
+    return reports[0] if single else reports
 
 
 class _LiveRows(NamedTuple):
@@ -252,7 +220,21 @@ def _kept_rows(done):
 
 
 def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
-    """solve_linear_p2 on checked (B, m) data and (B,) alpha and tol.
+    """Minimize ||Ku - v||^2 + alpha*R(u) for linear K, on checked (B, m)
+    data and (B,) alpha and tol.
+
+    Accelerated forward-backward iteration on the equivalent half-scaled
+    objective in the diagonal (Jacobi) metric D = (L/s) T^-1 (variable
+    metric, Combettes & Vu 2014), with t_j = 1/||K[:, j]||^2,
+    L = ||K T^(1/2)||^2 and s = _STEP_SAFETY.  Since L bounds the scaled
+    operator, D majorizes K^T K for every linear kind; for K = diag(k) it
+    is K^T K/s, so the iteration is near-exact in one step.  Coordinate j
+    steps by s*t_j/L, and its prox threshold is that step times
+    alpha*w_j/2.  A monotone restart (O'Donoghue & Candes 2015) keeps the
+    iterate whenever the accelerated candidate would increase the
+    objective and resets the momentum, so the next iteration is a plain
+    step; the objective of the iterates never increases.  A plain step
+    that would increase it ends the solve.
 
     `op` takes (B, n) rows: one linear operator shared by every row, or a
     _DenseLinear stack with one matrix per row, which the loop compacts in
@@ -331,14 +313,9 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
     return out, iterations, converged
 
 
-def solve_linear_p1(
-    op: ForwardOperator,
-    data,
-    spec: PenaltySpec,
-    cfg: SolverConfig,
-    u0=None,
-) -> SolveReport:
-    """Minimize ||Ku - v|| + alpha*R(u) for linear K.
+def _primal_dual_p1(op, data, spec, alpha, tol, max_iter, metric, u0):
+    """Minimize ||Ku - v|| + alpha*R(u) for linear K, on checked (B, m)
+    data and (B,) alpha and tol.
 
     Primal-dual iteration on the saddle form max over the dual unit ball:
     the dual ascent step shifts by the data and projects back onto the
@@ -351,19 +328,11 @@ def solve_linear_p1(
     below 1 for s < 1.  A zero column leaves its coordinate out of the
     data term, so any step is admissible there; it gets the largest step
     of the others and the prox alone drives it towards zero.  Stops when
-    both iterates change less than tol in relative terms.
+    both iterates change less than tol in relative terms.  The iteration
+    is not batched: the rows run one after another with the one Jacobi
+    `metric`, `_jacobi_metric(op)`.  Returns the (B, n) minimizers,
+    iteration counts and convergence flags.
     """
-    if not op.is_linear:
-        raise ValueError("this solver handles linear operators only")
-    return _one_row(_solve_p1, op, data, spec, cfg, u0)
-
-
-def _solve_p1(op, data, spec, alpha, tol, max_iter: int, u0=None) -> list:
-    """One SolveReport per row of the (B, m) data, as _solve_p2, but the
-    rows iterate one after another with one shared Jacobi metric: the
-    p = 1 iteration is not batched.
-    """
-    data, alpha, tol, u0 = _check(op, data, spec, alpha, tol, max_iter, u0)
     rows = data.shape[0]
     out = np.zeros((rows, op.n))
     iterations = np.zeros(rows, dtype=np.int64)
@@ -372,10 +341,10 @@ def _solve_p1(op, data, spec, alpha, tol, max_iter: int, u0=None) -> list:
         # np.linalg.norm of a real vector is sqrt(v @ v), without its overhead
         return math.sqrt(float(v @ v))
 
-    t, lip, _, zero = _jacobi_metric(op)
+    t, lip, _, zero = metric
     if zero:
         # zero operator: the penalty alone drives every coefficient to zero
-        return _reports(op, data, spec, 1, alpha, out, iterations, np.ones(rows, dtype=bool))
+        return out, iterations, np.ones(rows, dtype=bool)
     sigma = _STEP_SAFETY / np.sqrt(lip)
     tau = sigma * t
     converged = np.zeros(rows, dtype=bool)
@@ -397,32 +366,7 @@ def _solve_p1(op, data, spec, alpha, tol, max_iter: int, u0=None) -> list:
                 converged[b] = True
                 break
         out[b], iterations[b] = x, k
-    return _reports(op, data, spec, 1, alpha, out, iterations, converged)
-
-
-def solve_nonlinear(
-    op: ForwardOperator,
-    data,
-    spec: PenaltySpec,
-    cfg: SolverConfig,
-    u0=None,
-) -> SolveReport:
-    """Minimize ||F(u) - v||^2 + alpha*R(u) for differentiable F.
-
-    Gauss-Newton outer loop: linearize F at the current iterate by
-    assembling its derivative once as a dense matrix (`derivative_columns`),
-    solve the resulting linear p=2 problem warm-started there, then damp
-    the step by halving (at most 20 times) until the true objective does
-    not increase.  Inner solves are inexact (Dembo, Eisenstat & Steihaug
-    1982): the first runs to a loose tolerance, and each later one to a
-    tighter one set by the last outer step, down to tol; the solve stops
-    only after a step whose inner solve ran at tol.  Inner solves share
-    the outer max_iter.  Each step computes the Jacobi metric of its
-    Jacobian by power iteration started from the previous step's top
-    eigenvector, since consecutive linearizations are close.  A linear F
-    needs no outer loop and is solved as by solve_linear_p2.
-    """
-    return _one_row(_solve_p2, op, data, spec, cfg, u0)
+    return out, iterations, converged
 
 
 def _distinct_first(base, start):
@@ -468,7 +412,20 @@ _INNER_FORCING = 1e-6
 
 
 def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
-    """solve_nonlinear on checked (B, m) data and (B,) alpha and tol.
+    """Minimize ||F(u) - v||^2 + alpha*R(u) for differentiable F, on
+    checked (B, m) data and (B,) alpha and tol.
+
+    Gauss-Newton outer loop: linearize F at the current iterate by
+    assembling its derivative once as a dense matrix (`derivative_columns`),
+    solve the resulting linear p=2 problem warm-started there, then damp
+    the step by halving (at most 20 times) until the true objective does
+    not increase.  Inner solves are inexact (Dembo, Eisenstat & Steihaug
+    1982): the first runs to a loose tolerance, and each later one to a
+    tighter one set by the last outer step, down to tol; the solve stops
+    only after a step whose inner solve ran at tol.  Inner solves share
+    the outer max_iter.  Each step computes the Jacobi metric of its
+    Jacobian by power iteration started from the previous step's top
+    eigenvector, since consecutive linearizations are close.
 
     The rows take their Gauss-Newton steps in lockstep: each step stacks
     the rows' Jacobians into one _DenseLinear stack, solves every linearized

@@ -233,16 +233,16 @@ def test_run_sweep_solves_every_cell_in_one_batch(kind, monkeypatch):
                             q=1.5, p=2, seed=4, positions=(0, 4, 9))
     deltas = np.logspace(-1, -3, 4)
     batches = []
-    real = experiments._solve_p2
+    real = experiments.solve
 
-    def counting(op, data, spec, alpha, *args):
+    def counting(op, data, spec, p, alpha, *args):
         batches.append(len(alpha))
-        return real(op, data, spec, alpha, *args)
+        return real(op, data, spec, p, alpha, *args)
 
-    monkeypatch.setattr(experiments, "_solve_p2", counting)
+    monkeypatch.setattr(experiments, "solve", counting)
     result = run_sweep(inst, deltas, 1.0, 3, seed=5, solver_tol=1e-9)
     assert batches == [12]
-    monkeypatch.setattr(experiments, "_solve_p2", real)
+    monkeypatch.setattr(experiments, "solve", real)
     for k, row in enumerate(result.rows):
         level, trial = divmod(k, 3)
         assert (row.delta, row.trial) == (deltas[level], trial)

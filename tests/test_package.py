@@ -1,8 +1,11 @@
 """The package's public names: one export list per module, re-exported."""
 
 import importlib
+from pathlib import Path
 
 import sparsereg
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "KERNEL_BACKEND", "__version__",
@@ -13,7 +16,7 @@ PUBLIC = {
     "ForwardOperator", "make_dense_linear", "make_diagonal_linear",
     "make_convolution_linear", "make_toy_nonlinear", "operator_norm_sq", "load_matrix_csv",
     # solver
-    "SolverConfig", "SolveReport", "solve_linear_p2", "solve_linear_p1", "solve_nonlinear",
+    "SolveReport", "solve",
     # analysis
     "SourceCertificate", "InjectivityReport", "RateConstants", "ValidationReport",
     "derivative_matrix", "check_source_condition", "check_support_injectivity",
@@ -44,3 +47,12 @@ def test_public_names_are_pinned_and_resolve():
             assert getattr(sparsereg, name) is getattr(module, name), name
         exported.update(module.__all__)
     assert exported == PUBLIC - {"KERNEL_BACKEND", "__version__"}
+
+
+def test_readme_quick_start_runs():
+    # the README's first python block runs as printed, and its sweep fits
+    # the slope 1 that it claims for the q = 1 instance
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, str(README), "exec"), scope)
+    assert 0.85 <= scope["result"].rate.slope <= 1.15

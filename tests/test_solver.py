@@ -1,7 +1,7 @@
 """Solvers for the regularized functional: goldens, certificates, restarts."""
 
 import collections
-import dataclasses
+import inspect
 import weakref
 
 import numpy as np
@@ -26,45 +26,45 @@ from sparsereg.penalty import (
     prox,
     subgradient_interval,
 )
-from sparsereg.solver import (
-    SolverConfig,
-    solve_linear_p1,
-    solve_linear_p2,
-    solve_nonlinear,
-)
+from sparsereg.solver import solve
 
 
 def test_config_validation():
-    # each solver fixes its own p; alpha, tol and max_iter are checked by
-    # every solve, and per row in a batch
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["alpha", "max_iter", "tol"]
+    # p is an argument like alpha, tol and max_iter, and solve has no other
+    # option; every solve checks p, alpha, tol and max_iter, and alpha and
+    # tol per row in a batch
+    assert list(inspect.signature(solve).parameters) == [
+        "op", "data", "spec", "p", "alpha", "tol", "max_iter", "u0"
+    ]
     op = make_dense_linear(np.eye(2))
     spec = PenaltySpec.uniform(1.5, 1.0, 2)
     bad = [
-        SolverConfig(alpha=0.0),
-        SolverConfig(alpha=np.inf),
-        SolverConfig(alpha=1.0, tol=0.0),
-        SolverConfig(alpha=1.0, tol=np.nan),
-        SolverConfig(alpha=1.0, max_iter=0),
+        dict(alpha=0.0),
+        dict(alpha=np.inf),
+        dict(alpha=1.0, tol=0.0),
+        dict(alpha=1.0, tol=np.nan),
+        dict(alpha=1.0, max_iter=0),
     ]
-    for solve in (solve_linear_p1, solve_linear_p2, solve_nonlinear):
-        for cfg in bad:
+    for p in (1, 2):
+        for values in bad:
             with pytest.raises(ValueError):
-                solve(op, np.zeros(2), spec, cfg)
-    for batch in (solver._solve_p1, solver._solve_p2):
+                solve(op, np.zeros(2), spec, p, **values)
         with pytest.raises(ValueError, match="alpha"):
-            batch(op, np.zeros((2, 2)), spec, [0.1, -0.1], [1e-10, 1e-10], 100)
+            solve(op, np.zeros((2, 2)), spec, p, [0.1, -0.1], [1e-10, 1e-10], 100)
         with pytest.raises(ValueError, match="tol"):
-            batch(op, np.zeros((2, 2)), spec, [0.1, 0.1], [1e-10, 0.0], 100)
+            solve(op, np.zeros((2, 2)), spec, p, [0.1, 0.1], [1e-10, 0.0], 100)
         with pytest.raises(ValueError, match="one alpha and one tol per row"):
-            batch(op, np.zeros((2, 2)), spec, [0.1, 0.1], [1e-10], 100)
+            solve(op, np.zeros((2, 2)), spec, p, [0.1, 0.1], [1e-10], 100)
+    for p in (0, 1.5, 3):
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            solve(op, np.zeros(2), spec, p, 1.0)
 
 
 def test_p2_identity_q2_golden():
     # minimizer of (x - z)^2 + x^2 is z/2 componentwise at alpha = 1
     op = make_dense_linear(np.eye(2))
     spec = PenaltySpec.uniform(2.0, 1.0, 2)
-    report = solve_linear_p2(op, np.array([2.0, 4.0]), spec, SolverConfig(alpha=1.0))
+    report = solve(op, np.array([2.0, 4.0]), spec, 2, 1.0)
     np.testing.assert_allclose(report.minimizer, [1.0, 2.0], atol=1e-8)
     assert report.converged
 
@@ -72,7 +72,7 @@ def test_p2_identity_q2_golden():
 def test_p2_zero_data():
     op = make_diagonal_linear(np.array([1.0, 0.5, 0.25]))
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    report = solve_linear_p2(op, np.zeros(3), spec, SolverConfig(alpha=0.3))
+    report = solve(op, np.zeros(3), spec, 2, 0.3)
     np.testing.assert_allclose(report.minimizer, np.zeros(3), atol=1e-12)
 
 
@@ -81,9 +81,7 @@ def test_p2_identity_q1_golden():
     # exact objective ||x - v||^2 + alpha*|x|_1 by grid search
     op = make_dense_linear(np.eye(2))
     spec = PenaltySpec.uniform(1.0, 1.0, 2)
-    report = solve_linear_p2(
-        op, np.array([2.0, 0.3]), spec, SolverConfig(alpha=1.0)
-    )
+    report = solve(op, np.array([2.0, 0.3]), spec, 2, 1.0)
     np.testing.assert_allclose(report.minimizer, [1.5, 0.0], atol=1e-8)
     grid = np.linspace(-3.0, 3.0, 20001)
     for i, v in enumerate([2.0, 0.3]):
@@ -98,7 +96,7 @@ def test_p2_report_consistency():
     op = make_dense_linear(rng.standard_normal((12, 8)))
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
     data = rng.standard_normal(12)
-    report = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.5))
+    report = solve(op, data, spec, 2, 0.5)
     resid = float(np.linalg.norm(op.apply(report.minimizer) - data))
     assert report.residual_norm == pytest.approx(resid, rel=1e-12)
     assert report.penalty_value == pytest.approx(
@@ -116,11 +114,11 @@ def test_p2_restart_keeps_iterates_monotone():
     op = make_dense_linear(rng.standard_normal((12, 8)))
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
     data = rng.standard_normal(12)
-    full = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.5))
+    full = solve(op, data, spec, 2, 0.5)
     assert full.converged and full.iterations > 10
     objective = [float(data @ data)]  # the zero start
     for k in range(1, full.iterations + 1):
-        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.5, max_iter=k))
+        report = solve(op, data, spec, 2, 0.5, max_iter=k)
         assert report.iterations == k
         objective.append(report.objective)
     assert report.minimizer.tobytes() == full.minimizer.tobytes()
@@ -129,58 +127,54 @@ def test_p2_restart_keeps_iterates_monotone():
     assert np.all(np.diff(objective) <= 1e-12 * objective[:-1])
 
 
-def test_p2_rejects_nonlinear():
-    rng = np.random.default_rng(1)
-    op = make_toy_nonlinear(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), 0.1)
-    spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    with pytest.raises(ValueError):
-        solve_linear_p2(op, np.zeros(4), spec, SolverConfig(alpha=1.0))
-    with pytest.raises(ValueError):
-        solve_linear_p1(op, np.zeros(4), spec, SolverConfig(alpha=0.1))
+# the three problems solve covers, by the names of the solvers they once had:
+# a linear operator with p = 1 or p = 2, and the toy nonlinear one with p = 2
+_PROBLEMS = {"solve_linear_p1": (1, "dense"), "solve_linear_p2": (2, "dense"),
+             "solve_nonlinear": (2, "toy")}
 
 
-@pytest.mark.parametrize(
-    "solve, p", [(solve_linear_p1, 1), (solve_linear_p2, 2), (solve_nonlinear, 2)]
-)
-def test_solvers_reject_bad_input(solve, p):
-    # one shared check: data, penalty and start lengths, and the linear
-    # solvers' rejection of a nonlinear operator; each solver reports the
-    # objective of the data exponent p it fixes
-    op = make_dense_linear(np.random.default_rng(4).standard_normal((4, 3)))
+def _problem_operator(kind, rng):
+    a = rng.standard_normal((4, 3))
+    if kind == "toy":
+        return make_toy_nonlinear(a, rng.standard_normal((4, 3)), 0.1)
+    return make_dense_linear(a)
+
+
+@pytest.mark.parametrize("problem, p", [(name, p) for name, (p, _) in _PROBLEMS.items()])
+def test_solvers_reject_bad_input(problem, p):
+    # one shared check: data, penalty and start lengths, and p = 1's
+    # rejection of a nonlinear operator; each solve reports the objective
+    # of its data exponent p
+    op = _problem_operator(_PROBLEMS[problem][1], np.random.default_rng(4))
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    cfg = SolverConfig(alpha=0.1)
-    report = solve(op, np.ones(4), spec, cfg)
+    report = solve(op, np.ones(4), spec, p, 0.1)
     assert report.residual_norm > 0.0
     assert report.objective == report.residual_norm**p + 0.1 * report.penalty_value
     with pytest.raises(ValueError):
-        solve(op, np.zeros(5), spec, cfg)
+        solve(op, np.zeros(5), spec, p, 0.1)
     with pytest.raises(ValueError):
-        solve(op, np.zeros((1, 4)), spec, cfg)
+        solve(op, np.zeros((1, 4)), spec, p, 0.1)
     with pytest.raises(ValueError):
-        solve(op, np.zeros(4), PenaltySpec.uniform(1.5, 1.0, 4), cfg)
+        solve(op, np.zeros(4), PenaltySpec.uniform(1.5, 1.0, 4), p, 0.1)
     with pytest.raises(ValueError, match="starts of length 3"):
-        solve(op, np.zeros(4), spec, cfg, u0=np.zeros(4))
+        solve(op, np.zeros(4), spec, p, 0.1, u0=np.zeros(4))
     toy = make_toy_nonlinear(np.zeros((4, 3)), np.ones((4, 3)), 0.1)
-    if solve is solve_nonlinear:
-        solve(toy, np.zeros(4), spec, cfg)
+    if p == 2:
+        solve(toy, np.zeros(4), spec, p, 0.1)
     else:
-        with pytest.raises(ValueError):
-            solve(toy, np.zeros(4), spec, cfg)
+        with pytest.raises(ValueError, match="p = 1 needs a linear operator"):
+            solve(toy, np.zeros(4), spec, p, 0.1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("solve", [solve_linear_p1, solve_linear_p2, solve_nonlinear])
-def test_solvers_overflowing_data_is_not_converged(solve):
+@pytest.mark.parametrize("problem", list(_PROBLEMS))
+def test_solvers_overflowing_data_is_not_converged(problem):
     # data of 1e300 overflow the residual norm (to inf, or nan through the
     # toy operator's u*u); the iterate stops moving, but is not optimal
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((4, 3))
-    if solve is solve_nonlinear:
-        op = make_toy_nonlinear(a, rng.standard_normal((4, 3)), 0.1)
-    else:
-        op = make_dense_linear(a)
+    p, kind = _PROBLEMS[problem]
+    op = _problem_operator(kind, np.random.default_rng(4))
     spec = PenaltySpec.uniform(1.5, 1.0, 3)
-    report = solve(op, np.full(4, 1e300), spec, SolverConfig(alpha=0.1))
+    report = solve(op, np.full(4, 1e300), spec, p, 0.1)
     assert not np.isfinite(report.residual_norm)
     assert not report.converged
 
@@ -196,9 +190,7 @@ def test_p2_kkt_certificate_smooth_q():
         op = make_dense_linear(rng.standard_normal((10, 6)))
         spec = PenaltySpec.uniform(q, 1.0, 6)
         data = rng.standard_normal(10)
-        report = solve_linear_p2(
-            op, data, spec, SolverConfig(alpha=0.4, tol=1e-13)
-        )
+        report = solve(op, data, spec, 2, 0.4, tol=1e-13)
         assert report.converged
         assert _kkt_gap_q_smooth(op, data, spec, 0.4, report.minimizer) <= 1e-6
 
@@ -209,7 +201,7 @@ def test_p2_kkt_certificate_q1():
     spec = PenaltySpec.uniform(1.0, 1.0, 6)
     data = rng.standard_normal(10)
     alpha = 0.6
-    report = solve_linear_p2(op, data, spec, SolverConfig(alpha=alpha, tol=1e-13))
+    report = solve(op, data, spec, 2, alpha, tol=1e-13)
     u = report.minimizer
     grad = 2.0 * op.derivative_adjoint_apply(u, op.apply(u) - data)
     for i in range(6):
@@ -230,7 +222,7 @@ def test_p2_objective_not_above_reference():
     data = op.apply(u_ref) + 0.01 * rng.standard_normal(16)
     for q in (1.0, 1.5):
         spec = PenaltySpec.uniform(q, 1.0, 16)
-        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=0.05))
+        report = solve(op, data, spec, 2, 0.05)
         ref_objective = (
             float(np.linalg.norm(op.apply(u_ref) - data)) ** 2
             + 0.05 * penalty_value(u_ref, spec)
@@ -245,7 +237,7 @@ def test_p2_residual_monotone_in_alpha():
     data = rng.standard_normal(14)
     residuals = []
     for alpha in (1.0, 0.5, 0.2, 0.05, 0.01):
-        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=alpha))
+        report = solve(op, data, spec, 2, alpha)
         residuals.append(report.residual_norm)
     # smaller alpha fits the data at least as well
     for larger, smaller in zip(residuals, residuals[1:]):
@@ -265,7 +257,7 @@ def test_p2_diagonal_matches_closed_form():
     data = op.apply(u_ref) + 1e-3 * rng.standard_normal(n)
     for q in (1.0, 1.5, 2.0):
         spec = PenaltySpec.uniform(q, 1.0, n)
-        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=1e-2))
+        report = solve(op, data, spec, 2, 1e-2)
         want = _prox_power(data / s, 1e-2 * spec.weights / (2.0 * s * s), q)
         assert report.converged
         assert report.iterations <= 20
@@ -284,7 +276,7 @@ def test_p2_dense_badly_scaled_columns():
     data = op.apply(u_ref) + delta * rng.standard_normal(64)
     for q in (1.0, 1.5):
         spec = PenaltySpec.uniform(q, 1.0, 32)
-        report = solve_linear_p2(op, data, spec, SolverConfig(alpha=delta))
+        report = solve(op, data, spec, 2, delta)
         assert report.converged
         assert report.iterations <= 200
         u = report.minimizer
@@ -328,7 +320,7 @@ def test_p2_one_apply_and_one_adjoint_per_step(monkeypatch):
     op = Counting(rng.standard_normal((16, 24)))
     data = rng.standard_normal(16)
     spec = PenaltySpec.uniform(1.5, 1.0, 24)
-    report = solve_linear_p2(op, data, spec, SolverConfig(alpha=1e-2))
+    report = solve(op, data, spec, 2, 1e-2)
     assert report.converged
     assert len(steps) == report.iterations
     # one apply of the start point and one of the returned minimizer
@@ -339,14 +331,12 @@ def test_p2_one_apply_and_one_adjoint_per_step(monkeypatch):
 def test_p1_zero_data_and_scalar_oracle():
     op = make_dense_linear(np.eye(3))
     spec = PenaltySpec.uniform(1.0, 1.0, 3)
-    report = solve_linear_p1(op, np.zeros(3), spec, SolverConfig(alpha=0.3))
+    report = solve(op, np.zeros(3), spec, 1, 0.3)
     np.testing.assert_allclose(report.minimizer, np.zeros(3), atol=1e-10)
 
     scalar = make_dense_linear(np.array([[1.0]]))
     spec1 = PenaltySpec.uniform(1.0, 1.0, 1)
-    report = solve_linear_p1(
-        scalar, np.array([2.0]), spec1, SolverConfig(alpha=0.5, max_iter=200000)
-    )
+    report = solve(scalar, np.array([2.0]), spec1, 1, 0.5, max_iter=200000)
     # |x - 2| + 0.5|x| is minimized at x = 2
     assert report.minimizer[0] == pytest.approx(2.0, abs=1e-6)
     grid = np.linspace(-1.0, 4.0, 50001)
@@ -361,9 +351,7 @@ def test_p1_recovers_sparse_reference():
     u_ref = np.zeros(16)
     u_ref[[0, 2, 5]] = [1.2, -0.7, 0.9]
     spec = PenaltySpec.uniform(1.0, 1.0, 16)
-    report = solve_linear_p1(
-        op, op.apply(u_ref), spec, SolverConfig(alpha=0.02, max_iter=200000)
-    )
+    report = solve(op, op.apply(u_ref), spec, 1, 0.02, max_iter=200000)
     assert report.converged
     assert np.linalg.norm(report.minimizer - u_ref) <= 1e-6 * (
         1.0 + np.linalg.norm(u_ref)
@@ -375,7 +363,7 @@ def test_p1_report_consistency():
     op = make_dense_linear(rng.standard_normal((8, 5)))
     spec = PenaltySpec.uniform(1.0, 1.0, 5)
     data = rng.standard_normal(8)
-    report = solve_linear_p1(op, data, spec, SolverConfig(alpha=0.2))
+    report = solve(op, data, spec, 1, 0.2)
     resid = float(np.linalg.norm(op.apply(report.minimizer) - data))
     assert report.objective == pytest.approx(
         resid + 0.2 * report.penalty_value, rel=1e-10
@@ -389,11 +377,8 @@ def test_p1_exact_recovery_family_converges_fast():
     for seed in range(3):
         instance = generate_problem("diagonal", 64, sparsity=3, q=1.0, p=1, seed=seed)
         alpha = 0.5 / instance.certificate.source_norm
-        report = solve_linear_p1(
-            instance.operator,
-            instance.clean_data,
-            instance.spec,
-            SolverConfig(alpha=alpha, max_iter=200000),
+        report = solve(
+            instance.operator, instance.clean_data, instance.spec, 1, alpha, max_iter=200000
         )
         assert report.converged
         assert report.iterations <= 100
@@ -411,9 +396,7 @@ def test_p1_dense_badly_scaled_columns():
     u_ref[rng.choice(64, 3, replace=False)] = rng.standard_normal(3)
     op = make_dense_linear(matrix)
     spec = PenaltySpec.uniform(1.0, 1.0, 64)
-    report = solve_linear_p1(
-        op, op.apply(u_ref), spec, SolverConfig(alpha=0.01, max_iter=200000)
-    )
+    report = solve(op, op.apply(u_ref), spec, 1, 0.01, max_iter=200000)
     assert report.converged
     assert report.objective <= 0.01 * penalty_value(u_ref, spec) + 1e-8
 
@@ -449,7 +432,7 @@ def test_p1_convolution_matches_scalar_step_minimizer():
     data = op.apply(u_ref) + 0.05 * rng.standard_normal(32)
     for q in (1.0, 1.5):
         spec = PenaltySpec.uniform(q, 1.0, 32)
-        report = solve_linear_p1(op, data, spec, SolverConfig(alpha=0.1, tol=1e-13))
+        report = solve(op, data, spec, 1, 0.1, tol=1e-13)
         assert report.converged
         want = _scalar_step_pdhg(op, data, spec, 0.1, 1e-13)
         assert np.max(np.abs(report.minimizer - want)) <= 1e-8
@@ -465,17 +448,18 @@ def test_p1_zero_column_goes_to_zero():
     spec = PenaltySpec.uniform(1.0, 1.0, 5)
     data = rng.standard_normal(8)
     u0 = np.full(5, 3.0)
-    report = solve_linear_p1(op, data, spec, SolverConfig(alpha=0.2), u0=u0)
+    report = solve(op, data, spec, 1, 0.2, u0=u0)
     assert report.converged
     assert np.all(np.isfinite(report.minimizer))
     assert np.isfinite(report.objective)
     assert report.minimizer[2] == 0.0
 
-    zero = solve_linear_p1(
+    zero = solve(
         make_dense_linear(np.zeros((3, 2))),
         np.ones(3),
         PenaltySpec.uniform(1.0, 1.0, 2),
-        SolverConfig(alpha=0.2),
+        1,
+        0.2,
         u0=np.ones(2),
     )
     assert zero.converged
@@ -490,9 +474,8 @@ def test_nonlinear_linear_degeneration():
     linear = make_dense_linear(a)
     spec = PenaltySpec.uniform(1.5, 1.0, 6)
     data = rng.standard_normal(10)
-    cfg = SolverConfig(alpha=0.3, tol=1e-12)
-    got = solve_nonlinear(op, data, spec, cfg)
-    want = solve_linear_p2(linear, data, spec, cfg)
+    got = solve(op, data, spec, 2, 0.3, tol=1e-12)
+    want = solve(linear, data, spec, 2, 0.3, tol=1e-12)
     assert np.max(np.abs(got.minimizer - want.minimizer)) <= 1e-8
 
 
@@ -505,8 +488,7 @@ def test_nonlinear_stationary_start():
     u_ref[[1, 4]] = [1.0, -0.6]
     spec = PenaltySpec.uniform(1.5, 1.0, 6)
     data = op.apply(u_ref)
-    cfg = SolverConfig(alpha=0.1)
-    report = solve_nonlinear(op, data, spec, cfg, u0=u_ref)
+    report = solve(op, data, spec, 2, 0.1, u0=u_ref)
     assert report.converged
     ref_objective = 0.1 * penalty_value(u_ref, spec)
     assert report.objective <= ref_objective + 1e-10
@@ -521,12 +503,11 @@ def test_nonlinear_cross_solver_comparison():
     u_ref[[0, 3, 6]] = [0.9, -1.1, 0.7]
     data = op.apply(u_ref)
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
-    cfg = SolverConfig(alpha=0.05, tol=1e-12)
-    nonlinear_report = solve_nonlinear(op, data, spec, cfg)
+    nonlinear_report = solve(op, data, spec, 2, 0.05, tol=1e-12)
 
     jac = a + 1e-3 * 2.0 * b * u_ref[np.newaxis, :]
     shifted = data - op.apply(u_ref) + jac @ u_ref
-    linear_report = solve_linear_p2(make_dense_linear(jac), shifted, spec, cfg)
+    linear_report = solve(make_dense_linear(jac), shifted, spec, 2, 0.05, tol=1e-12)
     linearized_objective = (
         float(np.linalg.norm(jac @ linear_report.minimizer - shifted)) ** 2
         + 0.05 * penalty_value(linear_report.minimizer, spec)
@@ -554,7 +535,7 @@ def test_nonlinear_inner_solves_make_no_derivative_applies():
     u_ref = np.zeros(8)
     u_ref[[0, 3, 6]] = [0.9, -1.1, 0.7]
     spec = PenaltySpec.uniform(1.5, 1.0, 8)
-    report = solve_nonlinear(op, op.apply(u_ref), spec, SolverConfig(alpha=0.05))
+    report = solve(op, op.apply(u_ref), spec, 2, 0.05)
     assert report.converged
     assert report.iterations > 1
     assert calls == {}
@@ -579,7 +560,7 @@ def test_nonlinear_stationarity_oracle():
         fit = 2.0 * op.derivative_adjoint_apply(u, op.apply(u) - data)
         return fit, fit + alpha * penalty_subgradient(u, spec)
 
-    report = solve_nonlinear(op, data, spec, SolverConfig(alpha=alpha))
+    report = solve(op, data, spec, 2, alpha)
     assert report.converged and report.iterations >= 3
     fit, grad = gradient(report.minimizer)
     assert np.max(np.abs(grad)) <= 1e-7 * np.max(np.abs(fit))
@@ -612,7 +593,7 @@ def test_gauss_newton_inner_tol_tightens_to_each_rows_tol(monkeypatch):
         return real(op, data, spec, alpha, tol, *args)
 
     monkeypatch.setattr(solver, "_forward_backward_p2", recording)
-    reports = solver._solve_p2(op, data, spec, alpha, tol, 50000)
+    reports = solve(op, data, spec, 2, alpha, tol, 50000)
     assert all(report.converged for report in reports)
     for a, t in zip(alpha, tol):
         assert inner[a][-1] == t
@@ -646,18 +627,23 @@ def test_batched_nonlinear_equal_starts_share_jacobians(monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "_linearize", recording)
-    batch = solver._solve_p2(op, data, spec, alpha, tol, 50000, u0)
+    batch = solve(op, data, spec, 2, alpha, tol, 50000, u0)
     assert linearized[0] == 3
     for row, a, t, u, got in zip(data, alpha, tol, u0, batch):
-        cfg = SolverConfig(alpha=a, tol=t)
-        _same_report(got, solve_nonlinear(op, row, spec, cfg, u0=u))
+        _same_report(got, solve(op, row, spec, 2, a, t, u0=u))
 
 
 def test_nonlinear_rejects_p1():
-    # the instance decides p where it is built: p = 1 needs a linear operator
+    # the instance checks p where it is built, and every solve checks it
+    # again: p = 1 needs a linear operator
     with pytest.raises(ValueError, match="p = 1 needs a linear operator"):
         generate_problem("toy-nonlinear", 6, m=8, sparsity=2, q=1.0, p=1)
     assert generate_problem("toy-nonlinear", 6, m=8, sparsity=2, q=1.0, p=2).p == 2
+    rng = np.random.default_rng(1)
+    op = make_toy_nonlinear(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), 0.1)
+    spec = PenaltySpec.uniform(1.5, 1.0, 3)
+    with pytest.raises(ValueError, match="p = 1 needs a linear operator"):
+        solve(op, np.zeros(4), spec, 1, 0.1)
 
 
 # --- batched p = 2 solves: every row as if solved alone --------------------
@@ -700,11 +686,30 @@ def test_batched_p2_rows_match_single_solves(kind, q):
     alpha = [1e-2, 3e-2, 5e-3, 0.2, 1e-2]
     tol = [1e-10, 1e-6, 1e-8, 1e-12, 1e-12]
     max_iter = {"diagonal": 8, "convolution": 60, "dense": 100, "toy": 16}[kind]
-    batch = solver._solve_p2(op, data, spec, alpha, tol, max_iter)
-    single = solve_nonlinear if kind == "toy" else solve_linear_p2
+    batch = solve(op, data, spec, 2, alpha, tol, max_iter)
+    alone = [solve(op, row, spec, 2, a, t, max_iter) for row, a, t in zip(data, alpha, tol)]
+    assert len({report.iterations for report in alone}) > 1
+    assert not all(report.converged for report in alone)
+    for got, want in zip(batch, alone):
+        _same_report(got, want)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_batched_p1_rows_match_single_solves(kind):
+    # p = 1 rows iterate one after another with one shared metric, some
+    # stopping at the cap; each must equal its own single solve
+    rng = np.random.default_rng(17)
+    op = _batch_operator(kind, rng)
+    u_ref = np.zeros(op.n)
+    u_ref[[1, 5, 9]] = [1.0, -0.8, 0.6]
+    spec = PenaltySpec.uniform(1.0, 1.0, op.n)
+    data = op.apply(u_ref) + 1e-2 * rng.standard_normal((3, op.m))
+    alpha, tol, starts = [0.05, 0.02, 0.1], [1e-10, 1e-6, 1e-8], rng.standard_normal((3, op.n))
+    max_iter = {"diagonal": 300, "dense": 1000}[kind]
+    batch = solve(op, data, spec, 1, alpha, tol, max_iter, starts)
     alone = [
-        single(op, row, spec, SolverConfig(alpha=a, tol=t, max_iter=max_iter))
-        for row, a, t in zip(data, alpha, tol)
+        solve(op, row, spec, 1, a, t, max_iter, u)
+        for row, a, t, u in zip(data, alpha, tol, starts)
     ]
     assert len({report.iterations for report in alone}) > 1
     assert not all(report.converged for report in alone)
@@ -718,7 +723,7 @@ def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
     spec = PenaltySpec.uniform(1.5, 1.0, op.n)
     data = rng.standard_normal((5, op.m))
     rows = ([0.1, 0.02, 0.3, 0.05, 0.01], [1e-10] * 5, 50000)
-    whole = solver._solve_p2(op, data, spec, *rows)
+    whole = solve(op, data, spec, 2, *rows)
     chunks = []
     real = solver._gauss_newton
 
@@ -729,7 +734,7 @@ def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
     monkeypatch.setattr(solver, "_gauss_newton", counting)
     # room for the Jacobians of two rows per chunk
     monkeypatch.setattr(solver, "_JACOBIAN_STACK_ENTRIES", 2 * op.m * op.n + 1)
-    chunked = solver._solve_p2(op, data, spec, *rows)
+    chunked = solve(op, data, spec, 2, *rows)
     assert chunks == [2, 2, 1]
     for got, want in zip(chunked, whole):
         _same_report(got, want)
@@ -752,7 +757,7 @@ def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
         return linear, linear_data
 
     monkeypatch.setattr(solver, "_linearize", recording)
-    solver._solve_p2(op, data, spec, [0.1, 0.02, 0.3], [1e-10] * 3, 50000)
+    solve(op, data, spec, 2, [0.1, 0.02, 0.3], [1e-10] * 3, 50000)
     assert len(stacks) > 1
 
 
