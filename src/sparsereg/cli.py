@@ -50,6 +50,8 @@ def _load(args) -> ExperimentConfig:
             raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
         cfg.seed = args.seed
     if args.out is not None:
+        if not args.out:
+            raise ConfigError("--out: must name a directory, got ''")
         cfg.out_dir = args.out
     return cfg
 
@@ -79,7 +81,10 @@ def _build_instance(cfg: ExperimentConfig):
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from exc
     return os.path.join(cfg.out_dir, name)
 
 
