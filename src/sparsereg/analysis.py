@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import ForwardOperator, _row_dots, operator_norm_sq
+from .operators import ForwardOperator, _row_norms, operator_norm_sq
 from .penalty import (
     PenaltySpec,
     _penalty_value,
@@ -347,14 +347,14 @@ def _sample_perturbations(op, u_dagger, spec, n_samples, radius, seed, lineariza
     for first in range(0, n_samples, rows):
         chunk = slice(first, min(first + rows, n_samples))
         direction = rng.standard_normal((chunk.stop - first, op.n))
-        direction /= np.sqrt(_row_dots(direction, direction))[:, None]
+        direction /= _row_norms(direction)[:, None]
         u = u_dagger + radius * direction
         shifted = op.apply(u) - ref_data
         pen[chunk] = _penalty_value(u, spec)
-        data_shift[chunk] = np.sqrt(_row_dots(shifted, shifted))
+        data_shift[chunk] = _row_norms(shifted)
         if linearization:
             miss = shifted - op.derivative_apply(u_dagger, u - u_dagger)
-            lin_err[chunk] = np.sqrt(_row_dots(miss, miss))
+            lin_err[chunk] = _row_norms(miss)
     return pen, data_shift, lin_err
 
 

@@ -80,11 +80,18 @@ def _build_instance(cfg: ExperimentConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _out_path(cfg: ExperimentConfig, name: str) -> str:
+def _make_out_dir(cfg: ExperimentConfig) -> None:
+    """Make the output directory.  Each command calls this once, after its
+    last config check and before its first solve, so that a bad config
+    leaves no directory behind and a directory that cannot be made fails
+    the run before the solves."""
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from exc
+
+
+def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
@@ -128,6 +135,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"--delta: must be finite and nonnegative, got {delta}")
     alpha = _solve_alpha(cfg, delta)
     instance = _build_instance(cfg)
+    _make_out_dir(cfg)
     noisy = add_noise(instance.clean_data, delta, cfg.seed)
     report = solve_instance(
         instance, noisy, alpha, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
@@ -179,6 +187,7 @@ def cmd_sweep(args) -> int:
             f"sweep.c_alpha: p = 1 bounds need c_alpha * residual_coeff < 1, got "
             f"{cfg.c_alpha * constants.residual_coeff:.6g}"
         )
+    _make_out_dir(cfg)
 
     deltas = np.logspace(
         np.log10(cfg.delta_max), np.log10(cfg.delta_min), cfg.delta_count
@@ -228,6 +237,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load(args)
     instance = _build_instance(cfg)
+    _make_out_dir(cfg)
 
     payload, _ = _hypotheses(instance, cfg.q)
     atomic_write_json(_out_path(cfg, "check.json"), payload)

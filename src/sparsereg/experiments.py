@@ -335,9 +335,9 @@ def run_sweep(
     """Noise sweep with the regularization weight tied to the noise level.
 
     Runs trials_per_delta seeded noise draws per level.  Each cell derives
-    its own seed from (seed, level index, trial index), and for p = 2 all
-    cells are solved as the rows of one batch, each row bit-identical to
-    solving its cell alone; so a row depends on nothing else.  The rate is
+    its own seed from (seed, level index, trial index), and all cells are
+    solved as the rows of one batch, each row bit-identical to solving
+    its cell alone; so a row depends on nothing else.  The rate is
     fitted on per-level mean errors, skipping levels where the solver
     stopping threshold is within 1% of the measured error (those
     measurements would reflect the optimizer floor, not the regularization

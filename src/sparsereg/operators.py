@@ -62,6 +62,12 @@ def _row_dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _row_norms(a):
+    """Per-row Euclidean norms of a (B, k) stack, each bit-identical to
+    np.linalg.norm of its row."""
+    return np.sqrt(_row_dots(a, a))
+
+
 class ForwardOperator(ABC):
     """Map F from length-n coefficient vectors to length-m data vectors.
 
@@ -392,13 +398,13 @@ def _power_iteration(gram, start):
     (float, vector) for a 1-d start, else ((B,), (B, n)).
     """
     x = np.atleast_2d(start)
-    x = x / np.sqrt(_row_dots(x, x))[:, None]
+    x = x / _row_norms(x)[:, None]
     lam = np.zeros(x.shape[0])
     live = np.ones(x.shape[0], dtype=bool)
     for _ in range(200):
         z = gram(x)
         lam_new = _row_dots(x, z)
-        nz = np.sqrt(_row_dots(z, z))
+        nz = _row_norms(z)
         # a zero image gives lam_new = 0 and leaves x as it is
         settled = np.abs(lam_new - lam) <= 1e-10 * np.maximum(np.abs(lam_new), 1.0)
         lam = np.where(live, lam_new, lam)

@@ -11,12 +11,11 @@ forward-backward one in a damped, inexact Gauss-Newton outer loop, whose
 inner solves tighten towards each row's tol.
 
 `solve` takes one data vector, or a batch of data rows, each row with its
-own alpha and tol and all with one max_iter.  The p = 2 kernels iterate
-on one (B, m) stack in one loop, from which each row leaves when it
-stops; every reduction is a stacked per-row product, so each row is
+own alpha and tol and all with one max_iter.  Every kernel iterates on
+one (B, m) stack in one loop, from which each row leaves when it stops;
+every reduction is a stacked per-row product, so each row is
 bit-identical to solving it alone.  Rows of a nonlinear batch at one
-linearization point share its Jacobian and its metric.  The p = 1 rows
-iterate one after another.
+linearization point share its Jacobian and its metric.
 """
 
 import math
@@ -25,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import ForwardOperator, _DenseLinear, _power_iteration, _power_start, _row_dots
+from .operators import ForwardOperator, _DenseLinear, _power_iteration, _power_start
+from .operators import _row_dots, _row_norms
 from .penalty import PenaltySpec, _penalty_value, _prox_power
 
 __all__ = ["SolveReport", "solve"]
@@ -68,7 +68,7 @@ def _reports(op, data, spec, p, alpha, x, iterations, converged) -> list:
     as not converged: its objective cannot be optimal.
     """
     r = op.apply(x) - data
-    resid = np.sqrt(_row_dots(r, r)).tolist()
+    resid = _row_norms(r).tolist()
     pen = _penalty_value(x, spec).tolist()
     return [
         SolveReport(
@@ -166,12 +166,12 @@ def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max
     relative iterate-change threshold; the start is zero unless given.
 
     On a linear operator p = 1 runs _primal_dual_p1 and p = 2 runs
-    _forward_backward_p2, each with one Jacobi metric.  p = 1 needs a
-    linear operator; p = 2 on a nonlinear one runs _gauss_newton, in
-    chunks of rows whose Jacobian stack keeps under _JACOBIAN_STACK_ENTRIES
-    entries.  Gauss-Newton caps its linearized subproblem solves at the
-    same max_iter, and runs them to a tolerance that starts looser than
-    tol and tightens down to it.
+    _forward_backward_p2, each on the whole row stack with one Jacobi
+    metric.  p = 1 needs a linear operator; p = 2 on a nonlinear one runs
+    _gauss_newton, in chunks of rows whose Jacobian stack keeps under
+    _JACOBIAN_STACK_ENTRIES entries.  Gauss-Newton caps its linearized
+    subproblem solves at the same max_iter, and runs them to a tolerance
+    that starts looser than tol and tightens down to it.
     """
     single = np.ndim(data) == 1
     if single:
@@ -193,7 +193,9 @@ def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max
 
 
 class _LiveRows(NamedTuple):
-    """What the forward-backward step needs of the rows still iterating."""
+    """What a linear kernel's step needs of the rows still iterating: the
+    operator on them, their data, per-coordinate primal steps and prox
+    thresholds, alpha and tol."""
 
     op: ForwardOperator
     data: np.ndarray
@@ -204,6 +206,12 @@ class _LiveRows(NamedTuple):
 
     def take(self, keep) -> "_LiveRows":
         return _LiveRows(self.op._rows(keep), *(v[keep] for v in self[1:]))
+
+
+def _small_step(new, old, tol):
+    """Per-row ||new - old|| <= tol*(1 + ||new||) of (B, .) stacks: the
+    relative-step test on which each row of a linear kernel stops."""
+    return _row_norms(new - old) <= tol * (1.0 + _row_norms(new))
 
 
 def _kept_rows(done):
@@ -253,12 +261,11 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
     obj = _objective(x, x_image, data, alpha, spec)
     out = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
-    converged = np.zeros(rows, dtype=bool)
     t, lip, _, zero = metric
     lip, zero = np.broadcast_to(lip, (rows,)), np.broadcast_to(zero, (rows,))
-    # zero operator: the penalty alone drives every coefficient to zero
-    dead = np.flatnonzero(zero)
-    converged[dead] = True
+    # zero operator: the penalty alone drives every coefficient to zero, so
+    # its rows converge at once
+    converged = zero.copy()
     live = np.flatnonzero(~zero)
     step = (_STEP_SAFETY / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
     part = _LiveRows(
@@ -296,11 +303,9 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
         beta = beta[:, None]
         y = cand + beta * (cand - x)
         y_image = cand_image + beta * (cand_image - x_image)
-        shift = cand - x
-        shift = np.sqrt(_row_dots(shift, shift))
-        x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
         # a restarting row has not moved, which is no sign of convergence
-        stop = ~back & (shift <= part.tol * (1.0 + np.sqrt(_row_dots(x, x))))
+        stop = ~back & _small_step(cand, x, part.tol)
+        x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
         done = stop | (iteration >= max_iter)
         if done.any():
             ended = live[done]
@@ -327,45 +332,48 @@ def _primal_dual_p1(op, data, spec, alpha, tol, max_iter, metric, u0):
     With s = _STEP_SAFETY this gives sigma*||K diag(tau)^(1/2)||^2 = s^2,
     below 1 for s < 1.  A zero column leaves its coordinate out of the
     data term, so any step is admissible there; it gets the largest step
-    of the others and the prox alone drives it towards zero.  Stops when
-    both iterates change less than tol in relative terms.  The iteration
-    is not batched: the rows run one after another with the one Jacobi
-    `metric`, `_jacobi_metric(op)`.  Returns the (B, n) minimizers,
-    iteration counts and convergence flags.
+    of the others and the prox alone drives it towards zero.  A row stops
+    when both its iterates change less than its tol in relative terms.
+
+    Every row uses the one Jacobi `metric`, `_jacobi_metric(op)`.  The
+    rows iterate as one (B, .) stack in one loop, as in
+    _forward_backward_p2: each has its own threshold, stopping test and
+    iteration count, and leaves the stack when it stops.  Returns the
+    (B, n) minimizers, iteration counts and convergence flags.
     """
-    rows = data.shape[0]
-    out = np.zeros((rows, op.n))
+    rows, n = data.shape[0], op.n
+    out = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.int64)
-
-    def norm(v):
-        # np.linalg.norm of a real vector is sqrt(v @ v), without its overhead
-        return math.sqrt(float(v @ v))
-
     t, lip, _, zero = metric
     if zero:
         # zero operator: the penalty alone drives every coefficient to zero
         return out, iterations, np.ones(rows, dtype=bool)
-    sigma = _STEP_SAFETY / np.sqrt(lip)
-    tau = sigma * t
     converged = np.zeros(rows, dtype=bool)
-    for b, (x, row, alpha_b, tol_b) in enumerate(zip(u0, data, alpha.tolist(), tol.tolist())):
-        thresh = tau * alpha_b * spec.weights
-        y = np.zeros(op.m)
-        x_bar = x.copy()
-        for k in range(1, max_iter + 1):
-            y_next = y + sigma * (op.apply(x_bar) - row)
-            norm_y = norm(y_next)
-            if norm_y > 1.0:
-                y_next = y_next / norm_y
-            x_next = _prox_power(x - tau * op.derivative_adjoint_apply(x, y_next), thresh, spec.q)
-            x_bar = 2.0 * x_next - x
-            primal_shift = norm(x_next - x)
-            dual_shift = norm(y_next - y)
-            x, y = x_next, y_next
-            if primal_shift <= tol_b * (1.0 + norm(x)) and dual_shift <= tol_b * (1.0 + norm(y)):
-                converged[b] = True
-                break
-        out[b], iterations[b] = x, k
+    sigma = _STEP_SAFETY / np.sqrt(lip)
+    tau = np.broadcast_to(sigma * t, (rows, n))
+    part = _LiveRows(op, data, tau, tau * alpha[:, None] * spec.weights, alpha, tol)
+    live = np.arange(rows)
+    x, x_bar, y = u0, u0, np.zeros((rows, op.m))
+    iteration = 0
+    while live.size:
+        iteration += 1
+        y_next = y + sigma * (part.op.apply(x_bar) - part.data)
+        # dividing by 1 leaves a row inside the ball unchanged
+        y_next = y_next / np.fmax(_row_norms(y_next), 1.0)[:, None]
+        grad = part.op.derivative_adjoint_apply(x, y_next)
+        x_next = _prox_power(x - part.step * grad, part.thresh, spec.q)
+        x_bar = 2.0 * x_next - x
+        stop = _small_step(x_next, x, part.tol)
+        # the dual test can only matter once some row passes the primal one
+        stop &= stop.any() and _small_step(y_next, y, part.tol)
+        x, y = x_next, y_next
+        done = stop | (iteration >= max_iter)
+        if done.any():
+            ended = live[done]
+            out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
+            keep = _kept_rows(done)
+            live, part = live[keep], part.take(keep)
+            x, x_bar, y = (v[keep] for v in (x, x_bar, y))
     return out, iterations, converged
 
 
@@ -480,12 +488,11 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
             halvings[damp] += 1
         # no descent found along its Gauss-Newton step: the row is stuck
         stuck = cand_obj > obj[live]
-        shift = cand - base
-        shift = np.sqrt(_row_dots(shift, shift))
+        shift = _row_norms(cand - base)
         moved = live[~stuck]
         u[moved], obj[moved] = cand[~stuck], cand_obj[~stuck]
         now = u[live]
-        scale = 1.0 + np.sqrt(_row_dots(now, now))
+        scale = 1.0 + _row_norms(now)
         settled = (inner[live] == tol[live]) | ~np.isfinite(obj[live])
         stop = (stuck | (shift <= tol[live] * scale)) & settled
         # a stuck row made no progress, so its next inner solve runs at its tol

@@ -6,7 +6,7 @@ files.
 """
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = ["render_rate_plot"]
 
@@ -28,10 +28,10 @@ def render_rate_plot(
     errors: Sequence[float],
     slope: float,
     intercept: float,
-    reference_slope: Optional[float] = None,
-    title: str = "",
+    reference_slope: float,
+    title: str,
 ) -> str:
-    """Render scatter + fitted line + optional reference-slope line.
+    """Render scatter + fitted line + reference-slope line, under a title.
 
     The fit is in natural logs (log err = intercept + slope * log delta);
     the reference line shares the fitted line's value at the largest
@@ -56,10 +56,8 @@ def render_rate_plot(
         return (intercept + slope * x10 * ln10) / ln10
 
     line_ys = [fit_y(x_lo), fit_y(x_hi)]
-    ref_ys = []
-    if reference_slope is not None:
-        anchor = fit_y(x_hi)
-        ref_ys = [anchor - reference_slope * (x_hi - x_lo), anchor]
+    anchor = fit_y(x_hi)
+    ref_ys = [anchor - reference_slope * (x_hi - x_lo), anchor]
 
     y_all = ys + line_ys + ref_ys
     y_lo, y_hi = min(y_all), max(y_all)
@@ -116,12 +114,11 @@ def render_rate_plot(
         f'height="{_fmt(plot_h)}" fill="none" stroke="black" stroke-width="1"/>'
     )
 
-    if reference_slope is not None:
-        parts.append(
-            f'<line x1="{_fmt(px(x_lo + x_pad))}" y1="{_fmt(py(ref_ys[0]))}" '
-            f'x2="{_fmt(px(x_hi - x_pad))}" y2="{_fmt(py(ref_ys[1]))}" '
-            f'stroke="#888888" stroke-width="1.5" stroke-dasharray="6,4"/>'
-        )
+    parts.append(
+        f'<line x1="{_fmt(px(x_lo + x_pad))}" y1="{_fmt(py(ref_ys[0]))}" '
+        f'x2="{_fmt(px(x_hi - x_pad))}" y2="{_fmt(py(ref_ys[1]))}" '
+        f'stroke="#888888" stroke-width="1.5" stroke-dasharray="6,4"/>'
+    )
     parts.append(
         f'<line x1="{_fmt(px(x_lo + x_pad))}" y1="{_fmt(py(line_ys[0]))}" '
         f'x2="{_fmt(px(x_hi - x_pad))}" y2="{_fmt(py(line_ys[1]))}" '
@@ -139,19 +136,16 @@ def render_rate_plot(
         f'<text x="{_fmt(legend_x)}" y="{_fmt(legend_y)}" font-family="sans-serif" '
         f'font-size="13" fill="#cc3311">fitted slope {slope:.4f}</text>'
     )
-    if reference_slope is not None:
-        parts.append(
-            f'<text x="{_fmt(legend_x)}" y="{_fmt(legend_y + 18.0)}" '
-            f'font-family="sans-serif" font-size="13" fill="#555555">'
-            f"reference slope {reference_slope:.4f}</text>"
-        )
-
-    if title:
-        parts.append(
-            f'<text x="{_fmt(_WIDTH / 2.0)}" y="{_fmt(_TOP - 16.0)}" '
-            f'font-family="sans-serif" font-size="15" text-anchor="middle">'
-            f"{title}</text>"
-        )
+    parts.append(
+        f'<text x="{_fmt(legend_x)}" y="{_fmt(legend_y + 18.0)}" '
+        f'font-family="sans-serif" font-size="13" fill="#555555">'
+        f"reference slope {reference_slope:.4f}</text>"
+    )
+    parts.append(
+        f'<text x="{_fmt(_WIDTH / 2.0)}" y="{_fmt(_TOP - 16.0)}" '
+        f'font-family="sans-serif" font-size="15" text-anchor="middle">'
+        f"{title}</text>"
+    )
     parts.append(
         f'<text x="{_fmt(_LEFT + plot_w / 2.0)}" y="{_fmt(_HEIGHT - 14.0)}" '
         f'font-family="sans-serif" font-size="13" text-anchor="middle">'

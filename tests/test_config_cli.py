@@ -247,7 +247,7 @@ def test_cli_malformed_config_names_field(tmp_path, capsys):
     assert "problem.q" in capsys.readouterr().err
 
 
-def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
+def test_cli_usage_errors_are_config_errors(tmp_path, capsys, monkeypatch):
     # exit 2 means numerical failure, so a bad command line must exit 1
     assert main(["sweep"]) == 1
     assert "required: --config" in capsys.readouterr().err
@@ -267,6 +267,12 @@ def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
     blocker = _write(tmp_path / "file", "")
     assert main(["check", "--config", cfg, "--out", blocker]) == 1
     assert f"config error: cannot create output directory {blocker}:" in capsys.readouterr().err
+    # and is reported before the sweep runs
+    sweeps = []
+    monkeypatch.setattr("sparsereg.cli.run_sweep", lambda *args, **kwargs: sweeps.append(args))
+    assert main(["sweep", "--config", cfg, "--out", blocker]) == 1
+    assert f"config error: cannot create output directory {blocker}:" in capsys.readouterr().err
+    assert sweeps == []
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

@@ -33,8 +33,9 @@ ARTIFACTS = {
     "sweep": ["rate.json", "rate.svg", "sweep.csv"],
 }
 
-# (command, config, extra flags, exit code); dense and rank are the csv
-# configs that _write_inputs generates, rank with two equal support columns
+# (command, config, extra flags, exit code); dense, dense_p1 and rank are
+# the csv configs that _write_inputs generates, dense_p1 a p = 1 sweep on
+# the dense matrix and rank with two equal support columns
 RUNS = [
     ("check", "n2048", [], 0),
     ("check", "nonlinear_toy", [], 0),
@@ -51,6 +52,7 @@ RUNS = [
     ("sweep", "q15_diagonal", [], 0),
     ("sweep", "nonlinear_toy", [], 0),
     ("sweep", "dense", [], 0),
+    ("sweep", "dense_p1", [], 0),
     ("check", "rank", [], 3),
     ("sweep", "rank", [], 3),
 ]
@@ -70,6 +72,11 @@ def _write_inputs(directory: Path) -> dict:
         "[problem]\nkind = csv\nn = 32\nsparsity = 3\nq = 1.0\nseed = 0\n"
         f"matrix_path = {directory / 'dense.csv'}\n"
     )
+    (directory / "dense_p1.cfg").write_text(
+        "[problem]\nkind = csv\nn = 32\nsparsity = 3\nq = 1.0\np = 1\nseed = 0\n"
+        f"matrix_path = {directory / 'dense.csv'}\n"
+        "[sweep]\ndelta_min = 1e-2\ndelta_count = 4\nc_alpha = 0.1\ntrials = 2\n"
+    )
     (directory / "rank.cfg").write_text(
         "[problem]\nkind = csv\nn = 4\nsparsity = 2\nq = 1.0\nseed = 0\n"
         f"matrix_path = {directory / 'rank.csv'}\npositions = 0,1\n"
@@ -77,6 +84,7 @@ def _write_inputs(directory: Path) -> dict:
     configs = {path.stem: path for path in (ROOT / "configs").glob("*.cfg")}
     configs["n2048"] = ROOT / "perfbench" / "check_n2048.cfg"
     configs["dense"] = directory / "dense.cfg"
+    configs["dense_p1"] = directory / "dense_p1.cfg"
     configs["rank"] = directory / "rank.cfg"
     return configs
 
@@ -116,11 +124,11 @@ def test_reference_runs_exit_codes_and_artifacts(reference):
         run = out / f"{command}_{config}"
         assert sorted(path.name for path in run.iterdir()) == ARTIFACTS[command]
         assert all(path.stat().st_size > 0 for path in run.iterdir())
-    assert len(_files(out)) == 32
+    assert len(_files(out)) == 35
     # every JSON artifact is strict JSON: an unbounded radius is null, not
     # the bare token Infinity
     written = sorted(out.rglob("*.json"))
-    assert len(written) == 17
+    assert len(written) == 18
     payloads = {
         str(path.relative_to(out)): json.loads(path.read_text(), parse_constant=_reject_constant)
         for path in written

@@ -2,6 +2,7 @@
 
 import collections
 import inspect
+import math
 import weakref
 
 import numpy as np
@@ -694,27 +695,65 @@ def test_batched_p2_rows_match_single_solves(kind, q):
         _same_report(got, want)
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def _primal_dual_one_row(op, row, spec, alpha, tol, max_iter, x):
+    """One p = 1 row solved on its own: the primal-dual iteration on 1-d
+    vectors with scalar norms and an if-guarded projection.  Returns the
+    minimizer, the iterations and whether the stopping test held."""
+
+    def norm(v):
+        return math.sqrt(float(v @ v))
+
+    t, lip, _, zero = solver._jacobi_metric(op)
+    assert not zero
+    sigma = solver._STEP_SAFETY / np.sqrt(lip)
+    tau = sigma * t
+    thresh = tau * alpha * spec.weights
+    y, x_bar = np.zeros(op.m), x.copy()
+    for k in range(1, max_iter + 1):
+        y_next = y + sigma * (op.apply(x_bar) - row)
+        norm_y = norm(y_next)
+        if norm_y > 1.0:
+            y_next = y_next / norm_y
+        x_next = _prox_power(x - tau * op.derivative_adjoint_apply(x, y_next), thresh, spec.q)
+        x_bar = 2.0 * x_next - x
+        primal_shift, dual_shift = norm(x_next - x), norm(y_next - y)
+        x, y = x_next, y_next
+        if primal_shift <= tol * (1.0 + norm(x)) and dual_shift <= tol * (1.0 + norm(y)):
+            return x, k, True
+    return x, max_iter, False
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "convolution", "dense", "wide"])
 def test_batched_p1_rows_match_single_solves(kind):
-    # p = 1 rows iterate one after another with one shared metric, some
-    # stopping at the cap; each must equal its own single solve
+    # the rows iterate as one stack with one shared metric and stop after
+    # different numbers of iterations, some at the cap; each must equal its
+    # own single solve, and the one-row loop bit for bit
     rng = np.random.default_rng(17)
-    op = _batch_operator(kind, rng)
+    op = (
+        make_dense_linear(rng.standard_normal((12, 24)))
+        if kind == "wide"
+        else _batch_operator(kind, rng)
+    )
     u_ref = np.zeros(op.n)
     u_ref[[1, 5, 9]] = [1.0, -0.8, 0.6]
-    spec = PenaltySpec.uniform(1.0, 1.0, op.n)
     data = op.apply(u_ref) + 1e-2 * rng.standard_normal((3, op.m))
     alpha, tol, starts = [0.05, 0.02, 0.1], [1e-10, 1e-6, 1e-8], rng.standard_normal((3, op.n))
-    max_iter = {"diagonal": 300, "dense": 1000}[kind]
-    batch = solve(op, data, spec, 1, alpha, tol, max_iter, starts)
-    alone = [
-        solve(op, row, spec, 1, a, t, max_iter, u)
-        for row, a, t, u in zip(data, alpha, tol, starts)
-    ]
-    assert len({report.iterations for report in alone}) > 1
-    assert not all(report.converged for report in alone)
-    for got, want in zip(batch, alone):
-        _same_report(got, want)
+    max_iter = {"diagonal": 300, "convolution": 800, "dense": 900, "wide": 2500}[kind]
+    for q in (1.0, 1.5):
+        # weights other than 1, so that tau*alpha*w rounds as it is grouped
+        spec = PenaltySpec(q, np.linspace(0.7, 1.3, op.n))
+        batch = solve(op, data, spec, 1, alpha, tol, max_iter, starts)
+        alone = [
+            solve(op, row, spec, 1, a, t, max_iter, u)
+            for row, a, t, u in zip(data, alpha, tol, starts)
+        ]
+        assert len({report.iterations for report in alone}) > 1
+        assert not all(report.converged for report in alone)
+        for got, want, row, a, t, u in zip(batch, alone, data, alpha, tol, starts):
+            _same_report(got, want)
+            x, iterations, converged = _primal_dual_one_row(op, row, spec, a, t, max_iter, u)
+            assert got.minimizer.tobytes() == x.tobytes()
+            assert (got.iterations, got.converged) == (iterations, converged)
 
 
 def test_batched_nonlinear_chunks_change_no_row(monkeypatch):
