@@ -7,7 +7,10 @@ the derivative on the support columns, and a growth inequality linking the
 penalty gap to the reconstruction error.  This module constructs the
 certificates, estimates the growth-inequality coefficients for linear
 operators, validates them by sampling, and evaluates the closed-form
-error and residual bounds they imply.
+error and residual bounds they imply.  check_sparse_rate_conditions is
+the one hypothesis stage: it combines every check and the validated
+constants into the verdict that `sparsereg check` writes to check.json
+and that `sparsereg sweep` reports in rate.json.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -326,6 +329,15 @@ def _constants_sparse_1(op, u_dagger, spec, cert) -> RateConstants:
     )
 
 
+def _check_sampling(n_samples: int, radius: float) -> None:
+    """The sampled checks need at least 100 samples at a positive, finite
+    radius: fewer samples, or a radius of 0 or NaN, checks nothing."""
+    if n_samples < 100:
+        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
 def _sample_perturbations(op, u_dagger, spec, n_samples, radius, seed, linearization=False):
     """Penalty and data shift at u_dagger + radius*d for n_samples unit directions d.
 
@@ -371,8 +383,10 @@ def validate_rate_inequality(
 
     Samples outside the validity region are skipped.  Slack below -1e-9
     counts as a violation; the report counts every violation and keeps
-    the first ten as (sample index, slack) pairs.
+    the first ten as (sample index, slack) pairs.  Raises ValueError for
+    fewer than 100 samples or a radius that is not positive and finite.
     """
+    _check_sampling(n_samples, radius)
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     ref_penalty = penalty_value(u_dagger, spec)
     pen, data_shift, _ = _sample_perturbations(op, u_dagger, spec, n_samples, radius, seed)
@@ -419,8 +433,7 @@ def estimate_rate_constants(
     """
     if not op.is_linear:
         raise ValueError("rate-constant constructions require a linear operator")
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    _check_sampling(n_samples, radius)
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     if cert is None:
         raise ValueError("source condition fails: subgradient not in the adjoint range")
@@ -500,17 +513,30 @@ def check_sparse_rate_conditions(
     n_samples: int = 1000,
     radius: float = 0.1,
     seed: int = 0,
-) -> dict:
-    """Check the hypotheses behind the sparse-solution rates, as a report.
+) -> tuple[dict, Optional[RateConstants]]:
+    """The hypothesis stage: every check behind the sparse-solution rates,
+    the rate constants, and one verdict.
+
+    Returns (payload, constants).  payload is what `sparsereg check`
+    writes to check.json: "checks", the report of each hypothesis;
+    "constants", the validated rate constants or why there are none; and
+    "passed", true when every check passes and so do the constants where
+    they apply.  constants is the validated RateConstants, or None.
 
     Linear operators reduce to the source condition plus support
     injectivity (for q = 1 also the off-support margin, with the penalty
-    gap split in half).  Nonlinear operators get a sampled fit of the
-    linearization-error inequality: the data-shift coefficient is the
-    smallest value covering all samples with the linearization coefficient
-    pinned at one.  cert is the source certificate of (op, u_dagger, spec)
-    from check_source_condition, or None when the source condition fails.
+    gap split in half), and get the rate constants of exponent q from
+    estimate_rate_constants; the ValueError of a failed construction or
+    validation is recorded as the constants' error.  Nonlinear operators
+    get a sampled fit of the linearization-error inequality instead: the
+    data-shift coefficient is the smallest value covering all samples with
+    the linearization coefficient pinned at one.  The explicit constant
+    constructions do not apply to them.  cert is the source certificate
+    of (op, u_dagger, spec) from check_source_condition, or None when the
+    source condition fails.  Raises ValueError, before any check, for
+    fewer than 100 samples or a radius that is not positive and finite.
     """
+    _check_sampling(n_samples, radius)
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     support = _support(u_dagger)
     report: dict = {
@@ -546,7 +572,17 @@ def check_sparse_rate_conditions(
         }
         report["off_support_margin"] = entry
         checks.append(entry["passed"])
-    if not op.is_linear:
+    constants = None
+    if op.is_linear:
+        try:
+            constants = estimate_rate_constants(
+                op, u_dagger, spec, cert, spec.q, n_samples, radius, seed
+            )
+        except ValueError as exc:
+            rates = {"passed": False, "error": str(exc)}
+        else:
+            rates = {**asdict(constants), "passed": True}
+    else:
         pen, data_shift, lin_err = _sample_perturbations(
             op, u_dagger, spec, n_samples, radius, seed, linearization=True
         )
@@ -567,5 +603,7 @@ def check_sparse_rate_conditions(
         }
         report["linearization_inequality"] = entry
         checks.append(finite)
+        rates = {"applicable": False}
     report["passed"] = bool(all(checks))
-    return report
+    passed = report["passed"] and rates.get("passed", True)
+    return {"checks": report, "constants": rates, "passed": passed}, constants

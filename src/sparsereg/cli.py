@@ -1,11 +1,12 @@
 """Command-line front end: single solves, noise sweeps, condition checks.
 
 Every command builds the instance as configured.  `check` and `sweep`
-share one hypothesis stage: the conditions and rate constants in a
-sweep's rate.json are the "checks" and "constants" that `check` writes to
-check.json for the same config, less the latter's "passed" flag.  A sweep
-whose hypotheses fail still runs and writes its artifacts, with NaN
-bounds, before it exits 3.  `solve` checks no hypotheses.
+call the one hypothesis stage, analysis.check_sparse_rate_conditions:
+`check` writes its verdict to check.json, and a sweep's rate.json
+records the same "checks" and its bounds use the same validated rate
+constants.  A sweep whose hypotheses fail still runs and writes its
+artifacts, with NaN bounds, before it exits 3.  `solve` checks no
+hypotheses.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 non-convergence or insufficient data for the rate fit, 3 condition-check
@@ -16,12 +17,11 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
-from .analysis import check_sparse_rate_conditions, estimate_rate_constants
+from .analysis import check_sparse_rate_conditions
 from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import (
     add_noise,
@@ -106,28 +106,6 @@ def _solve_alpha(cfg: ExperimentConfig, delta: float) -> float:
     raise ConfigError("solver.alpha: required for a noise-free solve with p = 2")
 
 
-def _hypotheses(instance, q: float):
-    """check.json's payload for an instance and its validated rate constants
-    (None if there are none)."""
-    op, u_dagger, spec = instance.operator, instance.u_dagger, instance.spec
-    cert = instance.certificate
-    checks = check_sparse_rate_conditions(op, u_dagger, spec, cert)
-    constants = None
-    if not op.is_linear:
-        # explicit constant constructions cover linear operators; the
-        # sampled linearization check stands in for nonlinear ones
-        entry = {"applicable": False}
-    else:
-        try:
-            constants = estimate_rate_constants(op, u_dagger, spec, cert, q)
-        except ValueError as exc:
-            entry = {"passed": False, "error": str(exc)}
-        else:
-            entry = {**asdict(constants), "passed": True}
-    passed = bool(checks["passed"] and entry.get("passed", True))
-    return {"checks": checks, "constants": entry, "passed": passed}, constants
-
-
 def cmd_solve(args) -> int:
     cfg = _load(args)
     delta = args.delta if args.delta is not None else 0.0
@@ -181,7 +159,9 @@ def cmd_sweep(args) -> int:
 
     # without validated constants the sweep still runs, and its rows carry
     # NaN bounds
-    hypotheses, constants = _hypotheses(instance, cfg.q)
+    hypotheses, constants = check_sparse_rate_conditions(
+        instance.operator, instance.u_dagger, instance.spec, instance.certificate
+    )
     if instance.p == 1 and constants is not None and cfg.c_alpha * constants.residual_coeff >= 1.0:
         raise ConfigError(
             f"sweep.c_alpha: p = 1 bounds need c_alpha * residual_coeff < 1, got "
@@ -239,7 +219,9 @@ def cmd_check(args) -> int:
     instance = _build_instance(cfg)
     _make_out_dir(cfg)
 
-    payload, _ = _hypotheses(instance, cfg.q)
+    payload, _ = check_sparse_rate_conditions(
+        instance.operator, instance.u_dagger, instance.spec, instance.certificate
+    )
     atomic_write_json(_out_path(cfg, "check.json"), payload)
 
     checks, constants = payload["checks"], payload["constants"]

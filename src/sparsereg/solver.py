@@ -94,8 +94,8 @@ def _check(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol, max_iter
     the (B, n) starts (zero unless given) as a new float64 array.
 
     Every solve goes through here: p must be 1 or 2, and p = 1 needs a
-    linear operator; alpha and tol must be positive and finite, and
-    max_iter at least 1.
+    linear operator; data and u0 must be finite, alpha and tol positive
+    and finite, and max_iter at least 1.
     """
     if p not in (1, 2):
         raise ValueError(f"data exponent p must be 1 or 2, got {p}")
@@ -113,6 +113,9 @@ def _check(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol, max_iter
     u0 = np.zeros((alpha.size, op.n)) if u0 is None else np.array(u0, dtype=np.float64)
     if u0.shape != (alpha.size, op.n):
         raise ValueError(f"expected {alpha.size} starts of length {op.n}, got {u0.shape}")
+    for name, value in (("data", data), ("u0", u0)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     for name, value in (("alpha", alpha), ("tol", tol)):
         if not np.all(np.isfinite(value) & (value > 0.0)):
             raise ValueError(f"{name} must be positive, got {value}")

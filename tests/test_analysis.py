@@ -551,10 +551,17 @@ def test_sparse_conditions_identity_q1():
     spec = PenaltySpec.uniform(1.0, 1.0, 6)
     u = np.zeros(6)
     u[[0, 2]] = [1.0, -2.0]
-    report = check_sparse_rate_conditions(op, u, spec, check_source_condition(op, u, spec))
+    cert = check_source_condition(op, u, spec)
+    payload, constants = check_sparse_rate_conditions(op, u, spec, cert)
+    report = payload["checks"]
     assert report["passed"]
     assert report["off_support_margin"]["gap_split"] == 0.5
     assert report["off_support_margin"]["max_off_support"] == pytest.approx(0.0)
+    # the stage's constants are those of exponent q, validated
+    assert constants == estimate_rate_constants(op, u, spec, cert, spec.q)
+    assert constants.validated
+    assert payload["constants"] == {**asdict(constants), "passed": True}
+    assert payload["passed"] is True
 
 
 def test_sparse_conditions_without_certificate():
@@ -564,11 +571,19 @@ def test_sparse_conditions_without_certificate():
     spec = PenaltySpec.uniform(1.0, 1.0, 6)
     u = np.zeros(6)
     u[[0, 2]] = [1.0, -2.0]
-    report = check_sparse_rate_conditions(op, u, spec, None)
+    payload, constants = check_sparse_rate_conditions(op, u, spec, None)
+    report = payload["checks"]
     assert report["source_condition"] == {"passed": False}
     assert report["support_injectivity"]["passed"]
     assert "off_support_margin" not in report
     assert not report["passed"]
+    # the constants need the certificate; the stage records why there are none
+    assert constants is None
+    assert payload["constants"] == {
+        "passed": False,
+        "error": "source condition fails: subgradient not in the adjoint range",
+    }
+    assert payload["passed"] is False
 
 
 def test_sparse_conditions_rank_deficient_support():
@@ -579,9 +594,18 @@ def test_sparse_conditions_rank_deficient_support():
     op = make_dense_linear(mat)
     spec = PenaltySpec.uniform(1.0, 1.0, 3)
     u = np.array([1.0, 1.0, 0.0])
-    report = check_sparse_rate_conditions(op, u, spec, check_source_condition(op, u, spec))
+    payload, constants = check_sparse_rate_conditions(
+        op, u, spec, check_source_condition(op, u, spec)
+    )
+    report = payload["checks"]
     assert not report["support_injectivity"]["passed"]
     assert not report["passed"]
+    assert constants is None
+    assert payload["constants"] == {
+        "passed": False,
+        "error": "certificate columns of the derivative are rank-deficient",
+    }
+    assert payload["passed"] is False
 
 
 def test_sparse_conditions_nonlinear_sampled():
@@ -592,11 +616,17 @@ def test_sparse_conditions_nonlinear_sampled():
     spec = PenaltySpec.uniform(1.5, 1.0, 16)
     u = np.zeros(16)
     u[[2, 7, 11]] = [1.0, -0.8, 0.6]
-    report = check_sparse_rate_conditions(op, u, spec, check_source_condition(op, u, spec))
-    entry = report["linearization_inequality"]
+    payload, constants = check_sparse_rate_conditions(
+        op, u, spec, check_source_condition(op, u, spec)
+    )
+    entry = payload["checks"]["linearization_inequality"]
     assert entry["passed"]
     assert np.isfinite(entry["data_shift_coeff"])
     assert entry["linearization_coeff"] == 1.0
+    # the explicit constant constructions cover linear operators only
+    assert constants is None
+    assert payload["constants"] == {"applicable": False}
+    assert payload["passed"] is payload["checks"]["passed"] is True
 
 
 @pytest.mark.parametrize("n_samples", [1000, 333])
@@ -613,10 +643,10 @@ def test_sparse_conditions_nonlinear_bit_identical(n_samples):
         op = make_toy_nonlinear(a, b, eps)
         cert = check_source_condition(op, u, spec)
         for seed in (0, 4):
-            report = check_sparse_rate_conditions(
+            payload, _ = check_sparse_rate_conditions(
                 op, u, spec, cert, n_samples=n_samples, radius=0.1, seed=seed
             )
-            entry = report["linearization_inequality"]
+            entry = payload["checks"]["linearization_inequality"]
             oracle = _linearization_one_at_a_time(op, u, spec, n_samples, 0.1, seed)
             assert (entry["passed"], entry["data_shift_coeff"]) == oracle
             assert entry["data_shift_coeff"] > 1e-12
@@ -630,9 +660,46 @@ def test_sparse_conditions_nonlinear_unmoved_data():
     spec = PenaltySpec.uniform(1.5, 1.0, 16)
     u = np.zeros(16)
     u[[2, 7, 11]] = [1.0, -0.8, 0.6]
-    entry = check_sparse_rate_conditions(op, u, spec, None)["linearization_inequality"]
+    payload, _ = check_sparse_rate_conditions(op, u, spec, None)
+    entry = payload["checks"]["linearization_inequality"]
     assert (entry["passed"], entry["data_shift_coeff"]) == (False, 1e-12)
     assert _linearization_one_at_a_time(op, u, spec, 1000, 0.1, 0) == (False, 1e-12)
+
+
+def test_sampled_checks_reject_degenerate_arguments():
+    # no samples, or samples at a radius of 0 or NaN, check nothing: each
+    # sampled check raises before it samples, where it used to pass
+    instance = generate_problem(
+        "diagonal", 64, sparsity=3, q=1.5, p=2, seed=7, positions=[0, 5, 15]
+    )
+    op, u, spec, cert = instance.operator, instance.u_dagger, instance.spec, instance.certificate
+    false = RateConstants(
+        norm_coeff=1e9, residual_coeff=0.0, exponent=1.5,
+        penalty_radius=np.inf, residual_radius=np.inf,
+    )
+    assert validate_rate_inequality(op, u, spec, false).n_violations == 1000
+    zero = np.zeros((24, 16))
+    toy = make_toy_nonlinear(zero, zero, 1.0)
+    toy_spec = PenaltySpec.uniform(1.5, 1.0, 16)
+    toy_u = np.zeros(16)
+    toy_u[[2, 7, 11]] = [1.0, -0.8, 0.6]
+    for n_samples, radius in ((1000, 0.0), (1000, np.nan), (1000, np.inf), (1000, -0.1),
+                              (0, 0.1), (99, 0.1)):
+        match = "radius must be" if n_samples == 1000 else "n_samples must be"
+        kwargs = dict(n_samples=n_samples, radius=radius)
+        with pytest.raises(ValueError, match=match):
+            validate_rate_inequality(op, u, spec, false, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            estimate_rate_constants(op, u, spec, cert, 1.5, **kwargs)
+        # the stage raises too, on a linear operator as on a nonlinear one,
+        # and does not record the arguments as a failed verdict
+        with pytest.raises(ValueError, match=match):
+            check_sparse_rate_conditions(op, u, spec, cert, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            check_sparse_rate_conditions(toy, toy_u, toy_spec, None, **kwargs)
+    # at 1000 samples of radius 0.1 the toy fails its linearization check
+    payload, _ = check_sparse_rate_conditions(toy, toy_u, toy_spec, None)
+    assert not payload["checks"]["linearization_inequality"]["passed"]
 
 
 def _toy_operator(m, n, eps):

@@ -159,6 +159,16 @@ def test_solvers_reject_bad_input(problem, p):
         solve(op, np.zeros(4), PenaltySpec.uniform(1.5, 1.0, 4), p, 0.1)
     with pytest.raises(ValueError, match="starts of length 3"):
         solve(op, np.zeros(4), spec, p, 0.1, u0=np.zeros(4))
+    # non-finite data or starts fail by name before the first iteration;
+    # the small max_iter keeps a solver that iterates on them short
+    for data, u0, name in (
+        (np.array([1.0, np.nan, 0.0, 0.0]), None, "data"),
+        (np.array([0.0, 0.0, -np.inf, 1.0]), None, "data"),
+        (np.ones(4), np.array([0.0, np.nan, 0.0]), "u0"),
+        (np.ones(4), np.array([np.inf, 0.0, 0.0]), "u0"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve(op, data, spec, p, 0.1, max_iter=20, u0=u0)
     toy = make_toy_nonlinear(np.zeros((4, 3)), np.ones((4, 3)), 0.1)
     if p == 2:
         solve(toy, np.zeros(4), spec, p, 0.1)
