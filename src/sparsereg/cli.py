@@ -204,6 +204,8 @@ def cmd_sweep(args) -> int:
         title=f"{cfg.kind} n={cfg.n} q={cfg.q} p={cfg.p}",
     )
     atomic_write_text(_out_path(cfg, "rate.svg"), svg)
+    for delta, reason in result.left_out:
+        print(f"noise level {delta:.6g} left out of the rate fit: {reason}", file=sys.stderr)
     print(
         f"sweep done: slope {result.rate.slope:.4f}, r^2 {result.rate.r_squared:.4f}, "
         f"{len(result.rows)} rows"

@@ -7,7 +7,7 @@ log-log slope of error against noise, which is the quantity the rate
 theory predicts.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -114,9 +114,13 @@ class RateEstimate:
 
 @dataclass
 class SweepResult:
+    """The rows of a sweep and its rate fit.  `left_out` lists each noise
+    level the fit left out as a (delta, reason) pair, in sweep order."""
+
     rows: list
     rate: RateEstimate
     constants: Optional[RateConstants] = None
+    left_out: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,11 @@ def run_sweep(
     fitted on per-level mean errors, skipping levels where the solver
     stopping threshold is within 1% of the measured error (those
     measurements would reflect the optimizer floor, not the regularization
-    error).  Requires at least four usable levels.
+    error).  A level is left out, and recorded with its reason on the
+    result, when some of its cells did not converge ("k of T cells not
+    converged"), when its mean error is zero ("zero mean error"), or for
+    that floor ("solver floor").  Requires at least four usable levels;
+    the error raised otherwise lists the left-out levels.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 2 or any(d <= 0.0 for d in deltas):
@@ -392,23 +400,29 @@ def run_sweep(
     rows = [row for row, _ in outcomes]
     fit_deltas = []
     fit_errors = []
+    left_out = []
     for level, delta in enumerate(deltas):
         group = outcomes[level * trials_per_delta : (level + 1) * trials_per_delta]
-        if not all(row.converged for row, _ in group):
-            continue
+        failed = sum(not row.converged for row, _ in group)
         mean_error = float(np.mean([row.error_norm for row, _ in group]))
         worst_floor = max(floor for _, floor in group)
-        if mean_error <= 0.0 or worst_floor > 0.01 * mean_error:
-            continue
-        fit_deltas.append(delta)
-        fit_errors.append(mean_error)
+        if failed:
+            left_out.append((delta, f"{failed} of {trials_per_delta} cells not converged"))
+        elif mean_error <= 0.0:
+            left_out.append((delta, "zero mean error"))
+        elif worst_floor > 0.01 * mean_error:
+            left_out.append((delta, "solver floor"))
+        else:
+            fit_deltas.append(delta)
+            fit_errors.append(mean_error)
     if len(fit_deltas) < MIN_RATE_LEVELS:
+        listed = "; ".join(f"{delta:.6g} ({reason})" for delta, reason in left_out)
         raise ValueError(
             f"rate fit needs at least {MIN_RATE_LEVELS} usable noise levels, "
-            f"got {len(fit_deltas)}"
+            f"got {len(fit_deltas)}; left out: {listed}"
         )
     rate = fit_rate(fit_deltas, fit_errors)
-    return SweepResult(rows=rows, rate=rate, constants=constants)
+    return SweepResult(rows=rows, rate=rate, constants=constants, left_out=left_out)
 
 
 def exact_recovery_test(

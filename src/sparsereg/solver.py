@@ -14,13 +14,18 @@ inner solves tighten towards each row's tol.
 own alpha and tol and all with one max_iter.  Every kernel iterates on
 one (B, m) stack in one loop, from which each row leaves when it stops;
 every reduction is a stacked per-row product, so each row is
-bit-identical to solving it alone.  Rows of a nonlinear batch at one
-linearization point share its Jacobian and its metric.
+bit-identical to solving it alone.  The two linear kernels share that
+loop, `_row_loop`: each supplies only its steps and its iteration body,
+and the loop records how each row ended (its minimizer, iterations and
+whether it converged), compacts finished rows out, and retires the rows
+of a zero operator at iteration 0.  Rows of a nonlinear batch at one
+linearization point share its Jacobian and its metric.  Every kernel
+returns (minimizers, iterations, converged), from which `solve` builds
+the reports of all rows in one place, `_reports`.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,9 +141,10 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     eigenvector, such as the previous Gauss-Newton step's, warm-starts it.
     Returns (t, L, top eigenvector, zero), where zero flags an operator
     whose every column is zero; the solvers do not iterate on it, its t
-    and L are placeholders and its top is `start`.  A _DenseLinear stack
-    of matrices gets one of each per matrix, and needs a (B, n) `start`;
-    Gauss-Newton passes one matrix per distinct linearization point.
+    and L are the placeholder 1 (so steps computed from them stay finite)
+    and its top is `start`.  A _DenseLinear stack of matrices gets one of
+    each per matrix, and needs a (B, n) `start`; Gauss-Newton passes one
+    matrix per distinct linearization point.
     """
     with np.errstate(divide="ignore"):
         t = 1.0 / op.column_norms_sq()
@@ -154,7 +160,7 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     start = _power_start(op.n) if start is None else start
     lip, top = _power_iteration(gram, start)
     top[zero] = start[zero]
-    return t, lip, top, zero
+    return t, np.where(zero, 1.0, lip), top, zero
 
 
 def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max_iter=50000,
@@ -170,11 +176,14 @@ def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max
 
     On a linear operator p = 1 runs _primal_dual_p1 and p = 2 runs
     _forward_backward_p2, each on the whole row stack with one Jacobi
-    metric.  p = 1 needs a linear operator; p = 2 on a nonlinear one runs
-    _gauss_newton, in chunks of rows whose Jacobian stack keeps under
+    metric and both through the one row loop, `_row_loop`.  p = 1 needs a
+    linear operator; p = 2 on a nonlinear one runs _gauss_newton, in
+    chunks of rows whose Jacobian stack keeps under
     _JACOBIAN_STACK_ENTRIES entries.  Gauss-Newton caps its linearized
     subproblem solves at the same max_iter, and runs them to a tolerance
-    that starts looser than tol and tightens down to it.
+    that starts looser than tol and tightens down to it.  Every kernel
+    returns the rows' minimizers, iteration counts and convergence flags,
+    and the reports of every path are built here, by one `_reports` call.
     """
     single = np.ndim(data) == 1
     if single:
@@ -183,32 +192,17 @@ def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max
     if op.is_linear:
         kernel = _primal_dual_p1 if p == 1 else _forward_backward_p2
         solved = kernel(op, data, spec, alpha, tol, max_iter, _jacobi_metric(op), u0)
-        reports = _reports(op, data, spec, p, alpha, *solved)
     else:
         chunk = max(1, _JACOBIAN_STACK_ENTRIES // (op.m * op.n))
-        reports = []
+        chunks = []
         for lo in range(0, len(data), chunk):
             rows = slice(lo, lo + chunk)
-            reports += _gauss_newton(
-                op, data[rows], spec, alpha[rows], tol[rows], max_iter, u0[rows]
+            chunks.append(
+                _gauss_newton(op, data[rows], spec, alpha[rows], tol[rows], max_iter, u0[rows])
             )
+        solved = [np.concatenate(parts) for parts in zip(*chunks)]
+    reports = _reports(op, data, spec, p, alpha, *solved)
     return reports[0] if single else reports
-
-
-class _LiveRows(NamedTuple):
-    """What a linear kernel's step needs of the rows still iterating: the
-    operator on them, their data, per-coordinate primal steps and prox
-    thresholds, alpha and tol."""
-
-    op: ForwardOperator
-    data: np.ndarray
-    step: np.ndarray
-    thresh: np.ndarray
-    alpha: np.ndarray
-    tol: np.ndarray
-
-    def take(self, keep) -> "_LiveRows":
-        return _LiveRows(self.op._rows(keep), *(v[keep] for v in self[1:]))
 
 
 def _small_step(new, old, tol):
@@ -228,6 +222,46 @@ def _kept_rows(done):
     order = np.arange(keep.size)
     order[np.flatnonzero(done[: keep.size])] = keep[keep >= keep.size]
     return order
+
+
+def _row_loop(op, zero, max_iter, iterate, fixed, state):
+    """The one row loop of the linear kernels: iterate a (B, .) stack of
+    rows until every row has stopped, and record how each row ended.
+
+    `fixed` holds the rows' per-row constants (data, steps, thresholds,
+    tol, ...) and `state` their iterates, each a (B, ...) array whose
+    first entry is the (B, n) start; `iterate(op, fixed, state)` runs one
+    iteration of the rows still live and returns their new iterate x,
+    their (B,) stop flags and their new state.  A row is done when it
+    stops or reaches max_iter: its x, the iteration and whether it
+    stopped are recorded, and it is compacted out of the operator
+    (`op._rows`) and of every per-row array.  The rows flagged by `zero`
+    (the metric's zero-operator flag) leave at iteration 0 as converged
+    with minimizer zero, since the penalty alone then drives every
+    coefficient to zero.  Returns the (B, n) minimizers, iteration counts
+    and convergence flags.
+    """
+    rows = len(state[0])
+    zero = np.broadcast_to(zero, (rows,))
+    out = np.zeros((rows, op.n))
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    # before the first iteration only zero-operator rows are done, and
+    # they take their minimizer from out, which is zero
+    x, stop, done, iteration = out, zero, zero, 0
+    while True:
+        if done.any():
+            ended = live[done]
+            out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
+            keep = _kept_rows(done)
+            live, op = live[keep], op._rows(keep)
+            fixed, state = ([v[keep] for v in arrays] for arrays in (fixed, state))
+        if not live.size:
+            return out, iterations, converged
+        iteration += 1
+        x, stop, state = iterate(op, fixed, state)
+        done = stop | (iteration >= max_iter)
 
 
 def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
@@ -250,47 +284,29 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
     `op` takes (B, n) rows: one linear operator shared by every row, or a
     _DenseLinear stack with one matrix per row, which the loop compacts in
     place as rows stop.  `metric` is `_jacobi_metric(op)`.  Each row has
-    its own momentum, restarts, stopping test and iteration count; when it
-    stops, its row is compacted out of the working arrays.  Returns the
-    (B, n) minimizers, iteration counts and convergence flags.  The loop
-    carries the image K u of each iterate next to it: since K is linear,
-    the extrapolated point's image is the same combination of the images,
-    so each iteration makes one prox call, one apply (of its result, which
+    its own momentum, restarts, stopping test and iteration count.  This
+    function sets up the steps and thresholds and supplies the iteration
+    body; `_row_loop` runs it, retires and compacts finished rows (and
+    the rows of a zero operator at once), and returns the (B, n)
+    minimizers, iteration counts and convergence flags.  The loop carries
+    the image K u of each iterate next to it: since K is linear, the
+    extrapolated point's image is the same combination of the images, so
+    each iteration makes one prox call, one apply (of its result, which
     the objective reuses) and one adjoint apply.
     """
-    rows, n = data.shape[0], op.n
-    x = u0.copy()
-    x_image = op.apply(x)
-    obj = _objective(x, x_image, data, alpha, spec)
-    out = np.zeros((rows, n))
-    iterations = np.zeros(rows, dtype=np.int64)
     t, lip, _, zero = metric
-    lip, zero = np.broadcast_to(lip, (rows,)), np.broadcast_to(zero, (rows,))
-    # zero operator: the penalty alone drives every coefficient to zero, so
-    # its rows converge at once
-    converged = zero.copy()
-    live = np.flatnonzero(~zero)
-    step = (_STEP_SAFETY / lip[live])[:, None] * np.broadcast_to(t, (rows, n))[live]
-    part = _LiveRows(
-        op._rows(live),
-        data[live],
-        step,
-        step * (alpha[live] / 2.0)[:, None] * spec.weights,
-        alpha[live],
-        tol[live],
-    )
-    x, x_image, obj = x[live], x_image[live], obj[live]
-    y, y_image = x, x_image
-    momentum = np.ones(live.size)
-    # rows whose y is x, so that their next step is a plain one
-    plain = np.ones(live.size, dtype=bool)
-    iteration = 0
-    while live.size:
-        iteration += 1
-        grad = part.op.derivative_adjoint_apply(y, y_image - part.data)
-        cand = _prox_power(y - part.step * grad, part.thresh, spec.q)
-        cand_image = part.op.apply(cand)
-        cand_obj = _objective(cand, cand_image, part.data, part.alpha, spec)
+    step = (_STEP_SAFETY / np.broadcast_to(lip, alpha.shape))[:, None] * t
+    thresh = step * (alpha / 2.0)[:, None] * spec.weights
+    x_image = op.apply(u0)
+    obj = _objective(u0, x_image, data, alpha, spec)
+
+    def iterate(op, fixed, state):
+        data, step, thresh, alpha, tol = fixed
+        x, x_image, y, y_image, obj, momentum, plain = state
+        grad = op.derivative_adjoint_apply(y, y_image - data)
+        cand = _prox_power(y - step * grad, thresh, spec.q)
+        cand_image = op.apply(cand)
+        cand_obj = _objective(cand, cand_image, data, alpha, spec)
         # restart: a row whose candidate raises its objective keeps x and
         # resets its momentum, so its next step is the plain step from x,
         # which cannot raise it; a row whose plain step raised it is stuck
@@ -302,23 +318,20 @@ def _forward_backward_p2(op, data, spec, alpha, tol, max_iter, metric, u0):
         if worse.any():
             cand[worse], cand_image[worse], cand_obj[worse] = x[worse], x_image[worse], obj[worse]
             momentum_next[back], beta[back] = 1.0, 0.0
+        # rows whose y is x, so that their next step is a plain one
         plain = beta == 0.0
         beta = beta[:, None]
         y = cand + beta * (cand - x)
         y_image = cand_image + beta * (cand_image - x_image)
         # a restarting row has not moved, which is no sign of convergence
-        stop = ~back & _small_step(cand, x, part.tol)
-        x, x_image, obj, momentum = cand, cand_image, cand_obj, momentum_next
-        done = stop | (iteration >= max_iter)
-        if done.any():
-            ended = live[done]
-            out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
-            keep = _kept_rows(done)
-            live, part = live[keep], part.take(keep)
-            x, x_image, y, y_image, obj, momentum, plain = (
-                v[keep] for v in (x, x_image, y, y_image, obj, momentum, plain)
-            )
-    return out, iterations, converged
+        stop = ~back & _small_step(cand, x, tol)
+        return cand, stop, (cand, cand_image, y, y_image, cand_obj, momentum_next, plain)
+
+    fixed = (data, step, thresh, alpha, tol)
+    # every row starts at momentum 1 with y = x, so its first step is plain
+    plain = np.ones(alpha.size, dtype=bool)
+    state = (u0, x_image, u0, x_image, obj, np.ones(alpha.size), plain)
+    return _row_loop(op, zero, max_iter, iterate, fixed, state)
 
 
 def _primal_dual_p1(op, data, spec, alpha, tol, max_iter, metric, u0):
@@ -338,46 +351,33 @@ def _primal_dual_p1(op, data, spec, alpha, tol, max_iter, metric, u0):
     of the others and the prox alone drives it towards zero.  A row stops
     when both its iterates change less than its tol in relative terms.
 
-    Every row uses the one Jacobi `metric`, `_jacobi_metric(op)`.  The
-    rows iterate as one (B, .) stack in one loop, as in
-    _forward_backward_p2: each has its own threshold, stopping test and
-    iteration count, and leaves the stack when it stops.  Returns the
-    (B, n) minimizers, iteration counts and convergence flags.
+    Every row uses the one Jacobi `metric`, `_jacobi_metric(op)`.  This
+    function sets up the steps and thresholds and supplies the iteration
+    body; as for _forward_backward_p2, `_row_loop` runs it on the whole
+    (B, .) stack, each row with its own threshold, stopping test and
+    iteration count, retires the rows of a zero operator at once, and
+    returns the (B, n) minimizers, iteration counts and convergence flags.
     """
-    rows, n = data.shape[0], op.n
-    out = np.zeros((rows, n))
-    iterations = np.zeros(rows, dtype=np.int64)
     t, lip, _, zero = metric
-    if zero:
-        # zero operator: the penalty alone drives every coefficient to zero
-        return out, iterations, np.ones(rows, dtype=bool)
-    converged = np.zeros(rows, dtype=bool)
     sigma = _STEP_SAFETY / np.sqrt(lip)
-    tau = np.broadcast_to(sigma * t, (rows, n))
-    part = _LiveRows(op, data, tau, tau * alpha[:, None] * spec.weights, alpha, tol)
-    live = np.arange(rows)
-    x, x_bar, y = u0, u0, np.zeros((rows, op.m))
-    iteration = 0
-    while live.size:
-        iteration += 1
-        y_next = y + sigma * (part.op.apply(x_bar) - part.data)
+    tau = np.broadcast_to(sigma * t, u0.shape)
+    thresh = tau * alpha[:, None] * spec.weights
+
+    def iterate(op, fixed, state):
+        data, tau, thresh, tol = fixed
+        x, x_bar, y = state
+        y_next = y + sigma * (op.apply(x_bar) - data)
         # dividing by 1 leaves a row inside the ball unchanged
         y_next = y_next / np.fmax(_row_norms(y_next), 1.0)[:, None]
-        grad = part.op.derivative_adjoint_apply(x, y_next)
-        x_next = _prox_power(x - part.step * grad, part.thresh, spec.q)
-        x_bar = 2.0 * x_next - x
-        stop = _small_step(x_next, x, part.tol)
+        grad = op.derivative_adjoint_apply(x, y_next)
+        x_next = _prox_power(x - tau * grad, thresh, spec.q)
+        stop = _small_step(x_next, x, tol)
         # the dual test can only matter once some row passes the primal one
-        stop &= stop.any() and _small_step(y_next, y, part.tol)
-        x, y = x_next, y_next
-        done = stop | (iteration >= max_iter)
-        if done.any():
-            ended = live[done]
-            out[ended], iterations[ended], converged[ended] = x[done], iteration, stop[done]
-            keep = _kept_rows(done)
-            live, part = live[keep], part.take(keep)
-            x, x_bar, y = (v[keep] for v in (x, x_bar, y))
-    return out, iterations, converged
+        stop &= stop.any() and _small_step(y_next, y, tol)
+        return x_next, stop, (x_next, 2.0 * x_next - x, y_next)
+
+    state = (u0, u0, np.zeros(data.shape))
+    return _row_loop(op, zero, max_iter, iterate, (data, tau, thresh, tol), state)
 
 
 def _distinct_first(base, start):
@@ -422,7 +422,7 @@ _INNER_TOL_START = 1e-4
 _INNER_FORCING = 1e-6
 
 
-def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
+def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0):
     """Minimize ||F(u) - v||^2 + alpha*R(u) for differentiable F, on
     checked (B, m) data and (B,) alpha and tol.
 
@@ -445,7 +445,9 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
     share one Jacobian and one metric.  A row stops when a step whose inner
     solve ran at its own tol moves it less than tol or finds no descent; a
     row with no descent at a looser inner tol retries at its tol, and a
-    row whose objective is not finite needs no such step to stop.
+    row whose objective is not finite needs no such step to stop.  Returns
+    the (B, n) minimizers, iteration counts and convergence flags, as the
+    linear kernels do; `solve` builds the reports.
     """
     rows, n = data.shape[0], op.n
 
@@ -503,4 +505,4 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0) -> list:
         inner[live] = np.fmax(tol[live], np.fmin(inner[live], _INNER_FORCING * progress**2))
         iterations[live], converged[live] = iteration, stop
         live = live[~stop & (iteration < max_iter)]
-    return _reports(op, data, spec, 2, alpha, u, iterations, converged)
+    return u, iterations, converged

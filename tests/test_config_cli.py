@@ -161,12 +161,16 @@ def test_cli_sweep_too_few_levels_is_numeric_failure(tmp_path, capsys):
     # them, so every level is left out of the fit
     cfg = _write(tmp_path / "short.cfg", SWEEP_CFG + "\n[solver]\nmax_iter = 1\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "4 usable noise levels" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "4 usable noise levels" in err
+    # the error lists each left-out level with its reason
+    assert err.count("(2 of 2 cells not converged)") == 5
+    assert "0.1 (2 of 2 cells not converged)" in err
 
 
 # at a noise level of 1e300 the solver's data products overflow too
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_cli_sweep_overflowing_bound_is_inf(tmp_path):
+def test_cli_sweep_overflowing_bound_is_inf(tmp_path, capsys):
     text = (ROOT / "configs" / "q15_diagonal.cfg").read_text()
     cfg = _write(tmp_path / "big.cfg", text.replace("delta_max = 1e-1", "delta_max = 1e300"))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -181,6 +185,12 @@ def test_cli_sweep_overflowing_bound_is_inf(tmp_path):
     assert len(failed) == 5
     assert all((row["residual_norm"] == "inf") == (row["delta"] in failed) for row in table)
     assert json.loads((tmp_path / "o" / "rate.json").read_text())["rate"]["n_points"] == 5
+    # stderr names each of them, and why it left the fit
+    left = [line for line in capsys.readouterr().err.splitlines() if "left out" in line]
+    assert left == [
+        f"noise level {float(delta):.6g} left out of the rate fit: 5 of 5 cells not converged"
+        for delta in sorted(failed, key=float, reverse=True)
+    ]
 
 
 def test_cli_sweep_too_few_levels_is_config_error(tmp_path, capsys):

@@ -137,6 +137,13 @@ def test_reference_runs_exit_codes_and_artifacts(reference):
     assert payloads["sweep_q15_diagonal/rate.json"]["constants"]["penalty_radius"] is None
 
 
+def test_every_committed_config_has_a_reference_run():
+    # a config added under configs/ joins the byte-identity check only
+    # through a row of RUNS
+    stems = {path.stem for path in (ROOT / "configs").glob("*.cfg")}
+    assert stems and stems <= {config for _, config, _, _ in RUNS}
+
+
 def test_reference_runs_are_byte_identical_in_a_fresh_interpreter(reference, tmp_path):
     out, _ = reference
     fresh = tmp_path / "fresh"

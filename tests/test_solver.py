@@ -477,6 +477,27 @@ def test_p1_zero_column_goes_to_zero():
     assert zero.minimizer.tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_zero_operator_rows_leave_at_iteration_zero(p):
+    # both linear kernels retire the rows of a zero operator before the
+    # first iteration, as converged with minimizer zero; its metric's
+    # L = 0 must not reach a step as a division (tier-1 makes the
+    # RuntimeWarning an error)
+    op = make_dense_linear(np.zeros((4, 3)))
+    spec = PenaltySpec.uniform(1.5, 1.0, 3)
+    rng = np.random.default_rng(31)
+    data, u0 = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
+    alpha, tol = [0.1, 0.5, 2.0], [1e-10, 1e-6, 1e-3]
+    single = solve(op, data[0], spec, p, alpha[0], tol[0], u0=u0[0])
+    batch = solve(op, data, spec, p, alpha, tol, 100, u0)
+    for report in [single, *batch]:
+        assert report.minimizer.tolist() == [0.0, 0.0, 0.0]
+        assert report.iterations == 0
+        assert report.converged
+    for report, row in zip(batch, data):
+        assert report.residual_norm == np.linalg.norm(row)
+
+
 def test_nonlinear_linear_degeneration():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((10, 6))
