@@ -481,9 +481,9 @@ def theoretical_bound(constants: RateConstants, p: int, alpha: float, delta: flo
     """
     if p not in (1, 2):
         raise ValueError(f"data exponent p must be 1 or 2, got {p}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if delta < 0.0:
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     coupling = alpha * constants.residual_coeff
     if p == 1:

@@ -217,8 +217,8 @@ def generate_problem(
     the rate hypotheses hold; p is checked when the instance is built, and
     its source certificate is computed on first read.
     """
-    if sparsity > n:
-        raise ValueError(f"sparsity {sparsity} exceeds dimension {n}")
+    if not 0 <= sparsity <= n:
+        raise ValueError(f"sparsity must lie in [0, n={n}], got {sparsity}")
     if m is not None and kind in SQUARE_KINDS and m != n:
         raise ValueError(f"kind {kind!r} is square, so m must equal n={n}, got {m}")
     if weights is None:
@@ -273,8 +273,8 @@ def generate_source_problem(
 def add_noise(clean, delta: float, seed) -> np.ndarray:
     """Perturb the data by a seeded Gaussian draw of norm exactly delta."""
     clean = np.asarray(clean, dtype=np.float64)
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     if delta == 0.0:
         return clean.copy()
     rng = np.random.default_rng(seed)
@@ -285,10 +285,10 @@ def add_noise(clean, delta: float, seed) -> np.ndarray:
 
 def alpha_rule(delta: float, p: int, c: float = 1.0) -> float:
     """Regularization weight c * delta^(p-1); constant in delta for p = 1."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     return c * delta ** (p - 1)
 
 
@@ -298,8 +298,9 @@ def fit_rate(deltas, errors) -> RateEstimate:
     errors = np.asarray(errors, dtype=np.float64)
     if deltas.size != errors.size or deltas.size < 2:
         raise ValueError("rate fit needs matching delta/error sequences of length >= 2")
-    if np.any(deltas <= 0.0) or np.any(errors <= 0.0):
-        raise ValueError("rate fit needs positive deltas and errors")
+    for values in (deltas, errors):
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError("rate fit needs positive finite deltas and errors")
     x = np.log(deltas)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)

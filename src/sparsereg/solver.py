@@ -14,14 +14,15 @@ inner solves tighten towards each row's tol.
 own alpha and tol and all with one max_iter.  Every kernel iterates on
 one (B, m) stack in one loop, from which each row leaves when it stops;
 every reduction is a stacked per-row product, so each row is
-bit-identical to solving it alone.  The two linear kernels share that
-loop, `_row_loop`: each supplies only its steps and its iteration body,
-and the loop records how each row ended (its minimizer, iterations and
+bit-identical to solving it alone.  All three kernels share that loop,
+`_row_loop`: each supplies only its setup and its iteration body, and
+the loop records how each row ended (its minimizer, iterations and
 whether it converged), compacts finished rows out, and retires the rows
-of a zero operator at iteration 0.  Rows of a nonlinear batch at one
-linearization point share its Jacobian and its metric.  Every kernel
-returns (minimizers, iterations, converged), from which `solve` builds
-the reports of all rows in one place, `_reports`.
+of a zero operator at iteration 0.  Gauss-Newton's body linearizes
+through `_linearize`, where rows at one linearization point share its
+Jacobian and its metric, and runs the p = 2 linear kernel as its inner
+solve.  Every kernel returns (minimizers, iterations, converged), from
+which `solve` builds the reports of all rows in one place, `_reports`.
 """
 
 import math
@@ -143,7 +144,7 @@ def _jacobi_metric(op: ForwardOperator, start=None):
     whose every column is zero; the solvers do not iterate on it, its t
     and L are the placeholder 1 (so steps computed from them stay finite)
     and its top is `start`.  A _DenseLinear stack of matrices gets one of
-    each per matrix, and needs a (B, n) `start`; Gauss-Newton passes one
+    each per matrix, and needs a (B, n) `start`; `_linearize` passes one
     matrix per distinct linearization point.
     """
     with np.errstate(divide="ignore"):
@@ -176,14 +177,14 @@ def solve(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol=1e-10, max
 
     On a linear operator p = 1 runs _primal_dual_p1 and p = 2 runs
     _forward_backward_p2, each on the whole row stack with one Jacobi
-    metric and both through the one row loop, `_row_loop`.  p = 1 needs a
-    linear operator; p = 2 on a nonlinear one runs _gauss_newton, in
-    chunks of rows whose Jacobian stack keeps under
+    metric.  p = 1 needs a linear operator; p = 2 on a nonlinear one runs
+    _gauss_newton, in chunks of rows whose Jacobian stack keeps under
     _JACOBIAN_STACK_ENTRIES entries.  Gauss-Newton caps its linearized
     subproblem solves at the same max_iter, and runs them to a tolerance
-    that starts looser than tol and tightens down to it.  Every kernel
-    returns the rows' minimizers, iteration counts and convergence flags,
-    and the reports of every path are built here, by one `_reports` call.
+    that starts looser than tol and tightens down to it.  All three run
+    through the one row loop, `_row_loop`, and return the rows'
+    minimizers, iteration counts and convergence flags; the reports of
+    every path are built here, by one `_reports` call.
     """
     single = np.ndim(data) == 1
     if single:
@@ -225,21 +226,22 @@ def _kept_rows(done):
 
 
 def _row_loop(op, zero, max_iter, iterate, fixed, state):
-    """The one row loop of the linear kernels: iterate a (B, .) stack of
-    rows until every row has stopped, and record how each row ended.
+    """The one row loop of every kernel: iterate a (B, .) stack of rows
+    until every row has stopped, and record how each row ended.
 
     `fixed` holds the rows' per-row constants (data, steps, thresholds,
     tol, ...) and `state` their iterates, each a (B, ...) array whose
     first entry is the (B, n) start; `iterate(op, fixed, state)` runs one
-    iteration of the rows still live and returns their new iterate x,
-    their (B,) stop flags and their new state.  A row is done when it
-    stops or reaches max_iter: its x, the iteration and whether it
-    stopped are recorded, and it is compacted out of the operator
-    (`op._rows`) and of every per-row array.  The rows flagged by `zero`
-    (the metric's zero-operator flag) leave at iteration 0 as converged
-    with minimizer zero, since the penalty alone then drives every
-    coefficient to zero.  Returns the (B, n) minimizers, iteration counts
-    and convergence flags.
+    iteration of the rows still live (for Gauss-Newton, one outer step)
+    and returns their new iterate x, their (B,) stop flags and their new
+    state.  A row is done when it stops or reaches max_iter: its x, the
+    iteration and whether it stopped are recorded, and it is compacted
+    out of the operator (`op._rows`) and of every per-row array.  The
+    rows flagged by `zero` (a linear metric's zero-operator flag; False
+    for Gauss-Newton, whose inner solves take that exit) leave at
+    iteration 0 as converged with minimizer zero, since the penalty alone
+    then drives every coefficient to zero.  Returns the (B, n)
+    minimizers, iteration counts and convergence flags.
     """
     rows = len(state[0])
     zero = np.broadcast_to(zero, (rows,))
@@ -380,38 +382,33 @@ def _primal_dual_p1(op, data, spec, alpha, tol, max_iter, metric, u0):
     return _row_loop(op, zero, max_iter, iterate, (data, tau, thresh, tol), state)
 
 
-def _distinct_first(base, start):
-    """An order of the (B, n) rows of base and start that puts one row of
-    each group of bitwise-equal (base, start) pairs first, and the group of
-    each row in that order.
+def _linearize(op, base, data, top):
+    """The problems linearized at the (B, n) rows of base: the Jacobians
+    of F there as a _DenseLinear stack, the data v - F(u) + F'(u) u of
+    each row, and each Jacobian's Jacobi metric, its power iteration
+    started from the row's top.
 
-    Group g's first row lands at position g, so rows 0 .. k-1 of the order
-    are the k distinct pairs.  The rows of a group have equal Jacobians and
-    equal metrics, so the first row's serve them all.
+    The one place that makes one Jacobian and one metric per distinct
+    linearization point: rows with bitwise-equal (base, top) share them.
+    The k distinct Jacobians fill one (k, m, n) stack, on which the metric
+    runs; when every row is distinct (k = B) the rows use that stack as it
+    is, otherwise each row gets a copy of its group's Jacobian.  All three
+    are returned in row order.
     """
     groups = {}
     group = np.array(
-        [groups.setdefault(b.tobytes() + s.tobytes(), len(groups)) for b, s in zip(base, start)]
+        [groups.setdefault(u.tobytes() + t.tobytes(), len(groups)) for u, t in zip(base, top)]
     )
-    first = np.zeros(group.size, dtype=bool)
-    first[np.unique(group, return_index=True)[1]] = True
-    order = np.argsort(~first, kind="stable")
-    return order, group[order]
-
-
-def _linearize(op, base, data, group):
-    """The Jacobians of F at the (B, n) rows of base, and the data of the
-    linearized problems, v - F(u) + F'(u) u per row.
-
-    Row b copies the Jacobian of row group[b] <= b, which has its base.
-    """
-    jacobians = np.empty((base.shape[0], op.m, op.n))
-    for b, (u, g) in enumerate(zip(base, group)):
-        jacobians[b] = op.derivative_columns(u, range(op.n)) if g == b else jacobians[g]
+    first = np.unique(group, return_index=True)[1]
+    jacobians = np.empty((first.size, op.m, op.n))
+    for g, b in enumerate(first):
+        jacobians[g] = op.derivative_columns(base[b], range(op.n))
     if not np.all(np.isfinite(jacobians)):
         raise ValueError("matrix entries must be finite")
-    linear = _DenseLinear(jacobians)
-    return linear, data - op.apply(base) + linear.apply(base)
+    metric = _jacobi_metric(_DenseLinear(jacobians), top[first])
+    linear = _DenseLinear(jacobians if first.size == group.size else jacobians[group])
+    linear_data = data - op.apply(base) + linear.apply(base)
+    return linear, linear_data, tuple(v[group] for v in metric)
 
 
 # Inexact Gauss-Newton (Dembo, Eisenstat & Steihaug 1982): a row's first
@@ -438,71 +435,58 @@ def _gauss_newton(op, data, spec, alpha, tol, max_iter, u0):
     Jacobian by power iteration started from the previous step's top
     eigenvector, since consecutive linearizations are close.
 
-    The rows take their Gauss-Newton steps in lockstep: each step stacks
-    the rows' Jacobians into one _DenseLinear stack, solves every linearized
-    problem in one batched inner solve, and halves each row's step on its
-    own.  Rows at bitwise-equal points (with equal power-iteration starts)
-    share one Jacobian and one metric.  A row stops when a step whose inner
-    solve ran at its own tol moves it less than tol or finds no descent; a
-    row with no descent at a looser inner tol retries at its tol, and a
-    row whose objective is not finite needs no such step to stop.  Returns
-    the (B, n) minimizers, iteration counts and convergence flags, as the
+    This function sets up each row's objective, power-iteration start and
+    inner tolerance and supplies the outer step as the iteration body;
+    `_row_loop` runs it as it runs the linear kernels, so the rows take
+    their Gauss-Newton steps in lockstep and each leaves when it stops.
+    Each step linearizes every live row through `_linearize` (rows at
+    bitwise-equal points, with equal power-iteration starts, share one
+    Jacobian and one metric), solves every linearized problem in one
+    batched inner solve, and halves each row's step on its own.  The
+    Jacobian stack lives only within its step, so it is freed before the
+    next step allocates its own.  A row that finds no descent is stuck
+    and keeps its iterate.  A row stops when a step whose inner solve ran
+    at its own tol moves it less than tol or finds no descent; a row with
+    no descent at a looser inner tol retries at its tol, and a row whose
+    objective is not finite needs no such step to stop.  Returns the
+    (B, n) minimizers, iteration counts and convergence flags, as the
     linear kernels do; `solve` builds the reports.
     """
-    rows, n = data.shape[0], op.n
+    def objective(u, data, alpha):
+        return _objective(u, op.apply(u), data, alpha, spec)
 
-    def objective(live, u):
-        return _objective(u, op.apply(u), data[live], alpha[live], spec)
-
-    u = u0.copy()
-    live = np.arange(rows)
-    obj = objective(live, u)
-    # normalizing the seeded vector is the power iteration's own cold start
-    top = np.tile(_power_start(n), (rows, 1))
-    inner = np.maximum(tol, _INNER_TOL_START)
-    iterations = np.zeros(rows, dtype=np.int64)
-    converged = np.zeros(rows, dtype=bool)
-    iteration = 0
-    while live.size:
-        iteration += 1
-        order, group = _distinct_first(u[live], top[live])
-        live = live[order]
-        base, k = u[live], group.max() + 1
-        jacobians, linear_data = _linearize(op, base, data[live], group)
-        # the first k rows are distinct; each other row shares its group's metric
-        metric = _jacobi_metric(_DenseLinear(jacobians.matrix[:k]), top[live[:k]])
-        metric = tuple(v[group] for v in metric)
-        top[live] = metric[2]
-        x = _forward_backward_p2(
-            jacobians, linear_data, spec, alpha[live], inner[live], max_iter, metric, base
-        )[0]
-        # the Jacobian stack is not kept, so it is freed before the next
-        # step allocates its own
-        del jacobians
+    def iterate(op, fixed, state):
+        data, alpha, tol = fixed
+        base, obj, top, inner = state
+        linear, linear_data, metric = _linearize(op, base, data, top)
+        x = _forward_backward_p2(linear, linear_data, spec, alpha, inner, max_iter, metric, base)[0]
         step = x - base
         cand = base + step
-        cand_obj = objective(live, cand)
-        halvings = np.zeros(live.size, dtype=np.int64)
+        cand_obj = objective(cand, data, alpha)
+        halvings = np.zeros(len(base), dtype=np.int64)
         while True:
-            damp = np.flatnonzero((cand_obj > obj[live]) & (halvings < 20))
+            damp = np.flatnonzero((cand_obj > obj) & (halvings < 20))
             if not damp.size:
                 break
             step[damp] *= 0.5
             cand[damp] = base[damp] + step[damp]
-            cand_obj[damp] = objective(live[damp], cand[damp])
+            cand_obj[damp] = objective(cand[damp], data[damp], alpha[damp])
             halvings[damp] += 1
         # no descent found along its Gauss-Newton step: the row is stuck
-        stuck = cand_obj > obj[live]
+        # and stays at base
+        stuck = cand_obj > obj
         shift = _row_norms(cand - base)
-        moved = live[~stuck]
-        u[moved], obj[moved] = cand[~stuck], cand_obj[~stuck]
-        now = u[live]
-        scale = 1.0 + _row_norms(now)
-        settled = (inner[live] == tol[live]) | ~np.isfinite(obj[live])
-        stop = (stuck | (shift <= tol[live] * scale)) & settled
+        u = np.where(stuck[:, None], base, cand)
+        obj = np.where(stuck, obj, cand_obj)
+        scale = 1.0 + _row_norms(u)
+        settled = (inner == tol) | ~np.isfinite(obj)
+        stop = (stuck | (shift <= tol * scale)) & settled
         # a stuck row made no progress, so its next inner solve runs at its tol
         progress = np.where(stuck, 0.0, shift / scale)
-        inner[live] = np.fmax(tol[live], np.fmin(inner[live], _INNER_FORCING * progress**2))
-        iterations[live], converged[live] = iteration, stop
-        live = live[~stop & (iteration < max_iter)]
-    return u, iterations, converged
+        inner = np.fmax(tol, np.fmin(inner, _INNER_FORCING * progress**2))
+        return u, stop, (u, obj, metric[2], inner)
+
+    # normalizing the seeded vector is the power iteration's own cold start
+    top = np.tile(_power_start(op.n), (len(data), 1))
+    state = (u0, objective(u0, data, alpha), top, np.maximum(tol, _INNER_TOL_START))
+    return _row_loop(op, False, max_iter, iterate, (data, alpha, tol), state)

@@ -226,6 +226,16 @@ def test_cli_non_finite_value_is_config_error(tmp_path, capsys, section, line):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_sweep_p1_c_alpha_past_the_bound_is_config_error(tmp_path, capsys):
+    # p1_exact leaves c_alpha at its default 1, and its residual
+    # coefficient is 4.4917: the p = 1 bounds need the product below 1
+    config = str(ROOT / "configs" / "p1_exact.cfg")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "sweep.c_alpha" in err and "got 4.49166" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_square_kinds_reject_m(tmp_path, capsys):
     exact = (ROOT / "configs" / "p1_exact.cfg").read_text()
     for kind in ("diagonal", "convolution"):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from sparsereg import experiments
-from sparsereg.analysis import RateConstants, check_source_condition, estimate_rate_constants
+from sparsereg.analysis import (
+    RateConstants,
+    check_source_condition,
+    check_sparse_rate_conditions,
+    estimate_rate_constants,
+    theoretical_bound,
+)
 from sparsereg.experiments import (
     CSV_HEADER,
     RateEstimate,
@@ -66,6 +72,33 @@ def test_generate_problem_diagonal_passes_checks():
     np.testing.assert_array_equal(inst.clean_data, inst.operator.apply(inst.u_dagger))
     magnitudes = np.abs(inst.u_dagger[inst.u_dagger != 0.0])
     assert np.all((magnitudes >= 0.5) & (magnitudes <= 1.5))
+
+
+_BOUND_CONSTANTS = RateConstants(
+    norm_coeff=0.5, residual_coeff=2.0, exponent=1.5,
+    penalty_radius=np.inf, residual_radius=np.inf,
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha_rule(np.nan, 2),
+        lambda: alpha_rule(0.1, 2, np.nan),
+        lambda: add_noise(np.ones(3), np.nan, 5),
+        lambda: theoretical_bound(_BOUND_CONSTANTS, 2, np.nan, 0.1),
+        lambda: theoretical_bound(_BOUND_CONSTANTS, 2, 0.1, np.nan),
+        lambda: fit_rate([0.1, 0.01], [0.2, np.nan]),
+        lambda: fit_rate([np.inf, 0.01], [0.2, 0.1]),
+    ],
+    ids=["alpha_rule-delta", "alpha_rule-c", "add_noise", "bound-alpha", "bound-delta",
+         "fit_rate-error", "fit_rate-delta"],
+)
+def test_non_finite_inputs_raise(call):
+    # NaN fails every comparison, so each guard must accept only what it
+    # names; an inf must not reach the least-squares fit
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_generate_problem_zero_sparsity():
@@ -138,8 +171,9 @@ def test_generate_problem_positions_override():
 
 
 def test_generate_problem_validation_errors():
-    with pytest.raises(ValueError):
-        generate_problem("diagonal", 8, sparsity=9, seed=0)
+    for sparsity in (9, -2):
+        with pytest.raises(ValueError, match="sparsity must lie in"):
+            generate_problem("diagonal", 8, sparsity=sparsity, seed=0)
     with pytest.raises(ValueError):
         generate_problem("unknown-kind", 8, seed=0)
     with pytest.raises(ValueError):
@@ -259,6 +293,21 @@ def test_run_sweep_validation():
         run_sweep(inst, [0.1, 0.2, 0.05, 0.01], 1.0, 2, seed=0)  # not decreasing
     with pytest.raises(ValueError):
         run_sweep(inst, np.logspace(-1, -2, 3), 1.0, 2, seed=0)  # too few levels
+
+
+def test_run_sweep_p1_rejects_c_alpha_past_the_bound_before_solving(monkeypatch):
+    # the instance of configs/p1_exact.cfg: its residual coefficient is
+    # about 4.49, so c_alpha = 1 breaks c_alpha * residual_coeff < 1
+    inst = generate_problem("diagonal", 64, sparsity=3, q=1.0, p=1, seed=0, positions=(0, 1, 2))
+    constants = check_sparse_rate_conditions(
+        inst.operator, inst.u_dagger, inst.spec, inst.certificate
+    )[1]
+    assert constants.residual_coeff > 1.0
+    solves = []
+    monkeypatch.setattr(experiments, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match="reciprocal of the residual coefficient"):
+        run_sweep(inst, np.logspace(-1, -3, 4), 1.0, 2, seed=0, constants=constants)
+    assert not solves
 
 
 def test_exact_recovery_statuses():

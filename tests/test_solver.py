@@ -822,9 +822,9 @@ def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
 
     def recording(*args):
         assert all(stack() is None for stack in stacks)
-        linear, linear_data = real(*args)
+        linear, linear_data, metric = real(*args)
         stacks.append(weakref.ref(linear.matrix))
-        return linear, linear_data
+        return linear, linear_data, metric
 
     monkeypatch.setattr(solver, "_linearize", recording)
     solve(op, data, spec, 2, [0.1, 0.02, 0.3], [1e-10] * 3, 50000)
@@ -861,6 +861,22 @@ def test_batched_zero_jacobian_row_matches_single():
         assert got[0][b].tobytes() == want[0][0].tobytes()
         assert (got[1][b], got[2][b]) == (want[1][0], want[2][0])
         assert got[3][b].tobytes() == want[3][0].tobytes()
+
+
+def test_gauss_newton_zero_jacobian_rows_match_single_solves():
+    # F(u) = eps*B(u*u) has a zero Jacobian at the zero start, so every
+    # inner solve takes the zero-operator exit: the first outer step does
+    # not move, the second runs its inner solve at tol and stops
+    rng = np.random.default_rng(18)
+    op = make_toy_nonlinear(np.zeros((6, 4)), rng.standard_normal((6, 4)), 0.1)
+    spec = PenaltySpec.uniform(1.5, 1.0, op.n)
+    data = rng.standard_normal((3, op.m))
+    alpha, tol = [0.1, 0.02, 0.3], [1e-10, 1e-8, 1e-12]
+    batch = solve(op, data, spec, 2, alpha, tol, 50000)
+    for row, a, t, got in zip(data, alpha, tol, batch):
+        _same_report(got, solve(op, row, spec, 2, a, t, 50000))
+        assert got.converged and got.iterations == 2
+        assert not got.minimizer.any()
 
 
 def _matrix(op):
