@@ -285,6 +285,8 @@ def add_noise(clean, delta: float, seed) -> np.ndarray:
 
 def alpha_rule(delta: float, p: int, c: float = 1.0) -> float:
     """Regularization weight c * delta^(p-1); constant in delta for p = 1."""
+    if p not in (1, 2):
+        raise ValueError(f"data exponent p must be 1 or 2, got {p}")
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < c < np.inf:

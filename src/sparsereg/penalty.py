@@ -126,7 +126,8 @@ def subgradient_interval(u, spec: PenaltySpec):
 def _validate_subgradient(u, spec: PenaltySpec, xi, rtol=1e-8):
     lo, hi = subgradient_interval(u, spec)
     scale = 1.0 + np.abs(lo) + np.abs(hi)
-    if np.any(xi < lo - rtol * scale) or np.any(xi > hi + rtol * scale):
+    # written as "inside", so that a NaN entry is outside
+    if not np.all((xi >= lo - rtol * scale) & (xi <= hi + rtol * scale)):
         raise ValueError("xi is not a subgradient of the penalty at u")
 
 
@@ -140,12 +141,14 @@ def bregman_distance(u_tilde, u, spec: PenaltySpec, xi) -> BregmanReport:
     and 2 at q = 2, deflated by 1e-4 relative; and the slack
     value - lower_bound.
 
-    Raises ValueError if xi fails the coefficientwise subgradient conditions
-    at u.
+    Raises ValueError if u or u_tilde is not finite, or if xi fails the
+    coefficientwise subgradient conditions at u.
     """
     u = _check_len(u, spec)
     u_tilde = _check_len(u_tilde, spec)
     xi = _check_len(xi, spec)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(u_tilde))):
+        raise ValueError("u and u_tilde must be finite")
     _validate_subgradient(u, spec, xi)
 
     r_u = penalty_value(u, spec)
@@ -189,8 +192,8 @@ def scalar_bregman_constant(q: float) -> float:
 
 def prox(z, tau: float, spec: PenaltySpec) -> np.ndarray:
     """Coefficientwise minimizer of x -> 0.5*||x - z||^2 + tau*R(x)."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     z = _check_len(z, spec)
     return _prox_power(z, tau * spec.weights, spec.q)
 

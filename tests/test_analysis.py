@@ -20,7 +20,7 @@ from sparsereg.analysis import (
     theoretical_bound,
     validate_rate_inequality,
 )
-from sparsereg.experiments import generate_problem
+from sparsereg.experiments import alpha_rule, generate_problem
 from sparsereg.operators import (
     ForwardOperator,
     make_convolution_linear,
@@ -28,7 +28,13 @@ from sparsereg.operators import (
     make_diagonal_linear,
     make_toy_nonlinear,
 )
-from sparsereg.penalty import PenaltySpec, penalty_subgradient, penalty_value
+from sparsereg.penalty import (
+    PenaltySpec,
+    bregman_distance,
+    penalty_subgradient,
+    penalty_value,
+    prox,
+)
 
 
 class _CountingOperator(ForwardOperator):
@@ -193,6 +199,92 @@ def test_numerically_singular_square_operators_take_the_dense_path(op, u, q):
         assert (got.subgradient == want.subgradient).all()
         assert got.source_norm == want.source_norm
         assert got.residual == want.residual
+
+
+def _dense_csv_instance(tmp_path):
+    """The 48x32 dense csv instance of the reference-run table (q = 1)."""
+    path = tmp_path / "dense.csv"
+    np.savetxt(path, np.random.default_rng(0).standard_normal((48, 32)), delimiter=",")
+    return generate_problem("csv", 32, sparsity=3, q=1.0, seed=0, matrix_path=str(path))
+
+
+def test_source_condition_q1_dense_records_measured_residual(tmp_path):
+    # the q = 1 residual is measured on the support rows, as for q > 1
+    inst = _dense_csv_instance(tmp_path)
+    op, u, spec = inst.operator, inst.u_dagger, inst.spec
+    assert op.derivative_adjoint_solve(u, penalty_subgradient(u, spec)) is None
+    cert = check_source_condition(op, u, spec)
+    assert cert is not None
+    support = np.flatnonzero(u)
+    xi = penalty_subgradient(u, spec)
+    reached = derivative_matrix(op, u).T @ cert.source_element
+    measured = float(np.linalg.norm(reached[support] - xi[support]))
+    assert 0.0 < measured <= 1e-12
+    assert cert.residual == pytest.approx(measured, rel=1e-6, abs=0.0)
+
+
+def test_source_condition_q1_dense_subgradient_is_the_penalty_one_on_support(tmp_path):
+    # xi is fixed on the support, so the certificate keeps it there bit for
+    # bit; off the support it is the reached F'(u)* omega
+    inst = _dense_csv_instance(tmp_path)
+    op, u, spec = inst.operator, inst.u_dagger, inst.spec
+    cert = check_source_condition(op, u, spec)
+    assert cert is not None
+    support = np.flatnonzero(u)
+    assert (cert.subgradient[support] == penalty_subgradient(u, spec)[support]).all()
+    reached = derivative_matrix(op, u).T @ cert.source_element
+    off = np.setdiff1d(np.arange(op.n), support)
+    assert (cert.subgradient[off] == reached[off]).all()
+
+
+@pytest.mark.parametrize("q, svd_calls", [(1.0, 1), (1.5, 0), (2.0, 0)])
+def test_source_condition_dense_svd_only_for_free_coordinates(tmp_path, monkeypatch, q, svd_calls):
+    # q > 1 fixes every coordinate, so the dense route has nothing to
+    # complete and computes no SVD; q = 1 completes off the support
+    inst = _dense_csv_instance(tmp_path)
+    spec = PenaltySpec.uniform(q, 1.0, 32)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    check_source_condition(inst.operator, inst.u_dagger, spec)
+    assert len(calls) == svd_calls
+
+
+_SPEC = PenaltySpec.uniform(1.5, 1.0, 3)
+_U = np.array([1.0, 0.0, -0.5])
+_XI = penalty_subgradient(_U, _SPEC)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: prox(np.array([1.0, -2.0, 0.5]), np.nan, _SPEC), "tau must be"),
+        (lambda: prox(np.array([1.0, -2.0, 0.5]), np.inf, _SPEC), "tau must be"),
+        (lambda: alpha_rule(0.1, 3), "p must be 1 or 2"),
+        (lambda: alpha_rule(0.1, 0), "p must be 1 or 2"),
+        (lambda: alpha_rule(0.1, 1.5), "p must be 1 or 2"),
+        (lambda: bregman_distance(_U, _U, _SPEC, np.array([np.nan, 0.0, _XI[2]])), "not a subgradient"),
+        (lambda: bregman_distance(_U, np.array([1.0, np.nan, -0.5]), _SPEC, _XI), "must be finite"),
+        (lambda: bregman_distance(np.array([np.nan, 0.0, 0.0]), _U, _SPEC, _XI), "must be finite"),
+        (lambda: check_support_injectivity(make_diagonal_linear(np.ones(3)), _U, support=[-1]), r"\[0, 3\)"),
+        (lambda: check_support_injectivity(make_diagonal_linear(np.ones(3)), _U, support=[7]), r"\[0, 3\)"),
+        (lambda: check_support_injectivity(make_diagonal_linear(np.ones(3)), _U, support=[0, 0]), "distinct"),
+    ],
+    ids=[
+        "prox-tau-nan", "prox-tau-inf", "alpha-p3", "alpha-p0", "alpha-p1.5",
+        "bregman-xi-nan", "bregman-u-nan", "bregman-u_tilde-nan",
+        "support-negative", "support-past-n", "support-repeated",
+    ],
+)
+def test_out_of_domain_arguments_raise(call, match):
+    # each of these used to return a value (or raise IndexError)
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_injectivity_golden():
