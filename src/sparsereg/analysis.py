@@ -221,15 +221,21 @@ def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> In
     Only the support columns are assembled, through the operator's
     `derivative_columns`: stored columns where the operator holds them,
     one derivative apply each otherwise.  An explicit `support` overrides
-    detection from u_dagger; its indices must be distinct and lie in
-    [0, n).  An empty support reports an infinite constant: there is
-    nothing to invert.
+    detection from u_dagger: a 1-d sequence of integer indices, distinct
+    and in [0, n).  A boolean mask, a float index or a nested sequence
+    raises ValueError rather than being cast to indices.  An empty support
+    reports an infinite constant: there is nothing to invert.
     """
     u_dagger = np.asarray(u_dagger, dtype=np.float64)
     if support is None:
         support = _support(u_dagger)
     else:
-        support = np.asarray(support, dtype=np.int64)
+        support = np.asarray(support)
+        if support.ndim != 1 or (support.size and support.dtype.kind not in "iu"):
+            raise ValueError(
+                f"support must be a 1-d sequence of integer indices, got {support.tolist()}"
+            )
+        support = support.astype(np.int64, copy=False)
         # min/max and a set rather than np.unique (which imports numpy.ma),
         # element masks or bincount, which all raised the peak RSS of a
         # `check` process by about 0.3 MB
@@ -255,16 +261,6 @@ def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> In
     )
 
 
-def _inverse_bound(op, u_dagger, columns, name: str) -> float:
-    """Injectivity constant of the given derivative columns; 0 for none."""
-    inj = check_support_injectivity(op, u_dagger, support=columns)
-    if inj.support.size == 0:
-        return 0.0  # nothing to invert
-    if not inj.injective or not np.isfinite(inj.injectivity_constant):
-        raise ValueError(f"{name} columns of the derivative are rank-deficient")
-    return inj.injectivity_constant
-
-
 def _constants_quadratic(op, u_dagger, spec, cert) -> RateConstants:
     # general construction: curvature of the penalty alone gives exponent 2,
     # valid while the penalty stays below its reference value plus w_min
@@ -279,43 +275,44 @@ def _constants_quadratic(op, u_dagger, spec, cert) -> RateConstants:
     )
 
 
-def _constants_sparse_q(op, u_dagger, spec, cert) -> RateConstants:
-    # sparse construction for q > 1: split the error into support and
-    # off-support parts; the support part is controlled through the
-    # injectivity constant, the off-support part through the penalty gap
-    c = _inverse_bound(op, u_dagger, _support(u_dagger), "support")
+def _constants_sparse(op, u_dagger, spec, cert) -> RateConstants:
+    # sparse construction for every q: the error on the columns that must be
+    # injective is controlled through their injectivity constant c, the
+    # error off them through the penalty gap.  q picks those columns: the
+    # support for q > 1; for q = 1 every column where the certificate
+    # reaches w_min, the margin below w_min elsewhere setting the growth
+    # coefficient
+    xi = cert.subgradient
+    if spec.q > 1.0:
+        columns, name = _support(u_dagger), "support"
+    else:
+        columns = np.flatnonzero(np.abs(xi) >= spec.w_min * (1.0 - 1e-12))
+        name = "certificate"
+    inj = check_support_injectivity(op, u_dagger, support=columns)
+    # no column leaves nothing to invert; rank-deficient columns have c = inf
+    c = inj.injectivity_constant if columns.size else 0.0
+    if not np.isfinite(c):
+        raise ValueError(f"{name} columns of the derivative are rank-deficient")
     op_norm = np.sqrt(operator_norm_sq(op, u_dagger))
-    norm_coeff = spec.w_min / (2.0 * (1.0 + 2.0 * c**spec.q * op_norm**spec.q))
-    residual_coeff = (
-        cert.source_norm + 4.0 * c**spec.q * _RESIDUAL_RADIUS ** (spec.q - 1.0) * norm_coeff
-    )
+    if spec.q > 1.0:
+        norm_coeff = spec.w_min / (2.0 * (1.0 + 2.0 * c**spec.q * op_norm**spec.q))
+        residual_coeff = (
+            cert.source_norm + 4.0 * c**spec.q * _RESIDUAL_RADIUS ** (spec.q - 1.0) * norm_coeff
+        )
+        residual_radius = _RESIDUAL_RADIUS
+    else:
+        off = np.delete(np.arange(op.n), columns)
+        # columns takes every entry that reaches w_min, so margin_top < w_min (or NaN)
+        margin_top = float(np.max(np.abs(xi[off]))) if off.size else 0.0
+        norm_coeff = (spec.w_min - margin_top) / (1.0 + c * op_norm)
+        residual_coeff = cert.source_norm + c * norm_coeff
+        residual_radius = np.inf
     return RateConstants(
         norm_coeff=norm_coeff,
         residual_coeff=residual_coeff,
         exponent=spec.q,
         penalty_radius=np.inf,
-        residual_radius=_RESIDUAL_RADIUS,
-    )
-
-
-def _constants_sparse_1(op, u_dagger, spec, cert) -> RateConstants:
-    # q = 1 construction: the certificate entries reaching w_min define the
-    # columns that must be injective; the margin below w_min elsewhere sets
-    # the growth coefficient
-    xi = cert.subgradient
-    big = np.flatnonzero(np.abs(xi) >= spec.w_min * (1.0 - 1e-12))
-    c = _inverse_bound(op, u_dagger, big, "certificate")
-    off = np.delete(np.arange(op.n), big)
-    # big takes every entry that reaches w_min, so margin_top < w_min (or NaN)
-    margin_top = float(np.max(np.abs(xi[off]))) if off.size else 0.0
-    op_norm = np.sqrt(operator_norm_sq(op, u_dagger))
-    norm_coeff = (spec.w_min - margin_top) / (1.0 + c * op_norm)
-    return RateConstants(
-        norm_coeff=norm_coeff,
-        residual_coeff=cert.source_norm + c * norm_coeff,
-        exponent=1.0,
-        penalty_radius=np.inf,
-        residual_radius=np.inf,
+        residual_radius=residual_radius,
     )
 
 
@@ -412,9 +409,12 @@ def estimate_rate_constants(
 ) -> RateConstants:
     """Growth-inequality coefficients for a linear operator, by construction.
 
-    exponent selects the construction: 1 needs q = 1 and a sparse
-    reference; q in (1, 2] needs a sparse reference; 2 is the general
-    quadratic construction for q > 1.  When exponent = q = 2 the sparse
+    exponent selects one of two constructions.  The sparse one,
+    `_constants_sparse`, serves exponent 1 with q = 1, and exponent q
+    (within 1e-12) with a sparse reference; its exponent is q, and q only
+    picks the columns that must be injective: the support for q > 1, every
+    column where the certificate reaches w_min for q = 1.  The quadratic
+    one serves exponent 2 with q > 1.  When exponent = q = 2 the sparse
     construction is preferred if the reference is sparse.  The returned
     coefficients are validated on n_samples perturbations; violations
     raise with the offending samples listed.
@@ -428,14 +428,10 @@ def estimate_rate_constants(
     if cert is None:
         raise ValueError("source condition fails: subgradient not in the adjoint range")
     sparse = _support(u_dagger).size < op.n
-    if exponent == 1.0:
-        if spec.q != 1.0:
-            raise ValueError("exponent 1 requires q = 1")
-        constants = _constants_sparse_1(op, u_dagger, spec, cert)
-    elif abs(exponent - spec.q) <= 1e-12 and sparse:
-        if spec.q <= 1.0:
-            raise ValueError("the sparse q-exponent construction requires q > 1")
-        constants = _constants_sparse_q(op, u_dagger, spec, cert)
+    if exponent == 1.0 and spec.q != 1.0:
+        raise ValueError("exponent 1 requires q = 1")
+    if exponent == 1.0 or (abs(exponent - spec.q) <= 1e-12 and sparse):
+        constants = _constants_sparse(op, u_dagger, spec, cert)
     elif exponent == 2.0 and spec.q > 1.0:
         constants = _constants_quadratic(op, u_dagger, spec, cert)
     else:

@@ -390,23 +390,28 @@ def _linearize(op, base, data, top):
 
     The one place that makes one Jacobian and one metric per distinct
     linearization point: rows with bitwise-equal (base, top) share them.
-    The k distinct Jacobians fill one (k, m, n) stack, on which the metric
-    runs; when every row is distinct (k = B) the rows use that stack as it
-    is, otherwise each row gets a copy of its group's Jacobian.  All three
-    are returned in row order.
+    One (B, m, n) stack is allocated, the most that _JACOBIAN_STACK_ENTRIES
+    allows for.  The k distinct Jacobians fill its first k slots, and the
+    metric runs on that view.  Group ids are numbered in order of first
+    appearance, so a row's group never comes after it, and filling the
+    rows from the back copies each group's Jacobian before its slot is
+    overwritten.  All three are returned in row order.
     """
-    groups = {}
-    group = np.array(
-        [groups.setdefault(u.tobytes() + t.tobytes(), len(groups)) for u, t in zip(base, top)]
-    )
-    first = np.unique(group, return_index=True)[1]
-    jacobians = np.empty((first.size, op.m, op.n))
-    for g, b in enumerate(first):
-        jacobians[g] = op.derivative_columns(base[b], range(op.n))
-    if not np.all(np.isfinite(jacobians)):
+    groups, first = {}, []
+    group = [groups.setdefault(u.tobytes() + t.tobytes(), len(groups)) for u, t in zip(base, top)]
+    stack = np.empty((len(base), op.m, op.n))
+    for b, g in enumerate(group):
+        if g == len(first):
+            first.append(b)
+            stack[g] = op.derivative_columns(base[b], range(op.n))
+    distinct = stack[: len(first)]
+    if not np.all(np.isfinite(distinct)):
         raise ValueError("matrix entries must be finite")
-    metric = _jacobi_metric(_DenseLinear(jacobians), top[first])
-    linear = _DenseLinear(jacobians if first.size == group.size else jacobians[group])
+    metric = _jacobi_metric(_DenseLinear(distinct), top[first])
+    for b in reversed(range(len(base))):
+        if group[b] != b:
+            stack[b] = stack[group[b]]
+    linear = _DenseLinear(stack)
     linear_data = data - op.apply(base) + linear.apply(base)
     return linear, linear_data, tuple(v[group] for v in metric)
 

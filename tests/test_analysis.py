@@ -11,6 +11,7 @@ import scipy.linalg
 from sparsereg import analysis
 from sparsereg.analysis import (
     RateConstants,
+    SourceCertificate,
     ValidationReport,
     check_source_condition,
     check_sparse_rate_conditions,
@@ -258,6 +259,7 @@ def test_source_condition_dense_svd_only_for_free_coordinates(tmp_path, monkeypa
 _SPEC = PenaltySpec.uniform(1.5, 1.0, 3)
 _U = np.array([1.0, 0.0, -0.5])
 _XI = penalty_subgradient(_U, _SPEC)
+_DIAG = make_diagonal_linear([1.0, 0.5, 0.25])
 
 
 @pytest.mark.parametrize(
@@ -274,11 +276,15 @@ _XI = penalty_subgradient(_U, _SPEC)
         (lambda: check_support_injectivity(make_diagonal_linear(np.ones(3)), _U, support=[-1]), r"\[0, 3\)"),
         (lambda: check_support_injectivity(make_diagonal_linear(np.ones(3)), _U, support=[7]), r"\[0, 3\)"),
         (lambda: check_support_injectivity(make_diagonal_linear(np.ones(3)), _U, support=[0, 0]), "distinct"),
+        (lambda: check_support_injectivity(_DIAG, _U, support=[True, False]), "integer indices"),
+        (lambda: check_support_injectivity(_DIAG, _U, support=[1.7]), "integer indices"),
+        (lambda: check_support_injectivity(_DIAG, _U, support=[[0, 1]]), "1-d"),
     ],
     ids=[
         "prox-tau-nan", "prox-tau-inf", "alpha-p3", "alpha-p0", "alpha-p1.5",
         "bregman-xi-nan", "bregman-u-nan", "bregman-u_tilde-nan",
         "support-negative", "support-past-n", "support-repeated",
+        "support-bool-mask", "support-float", "support-2d",
     ],
 )
 def test_out_of_domain_arguments_raise(call, match):
@@ -326,6 +332,10 @@ def test_injectivity_rank_deficient_and_empty():
     empty = check_support_injectivity(op, np.zeros(3))
     assert empty.injective
     assert empty.smallest_singular_value == np.inf
+    # an explicit empty list has a float dtype, and is still a valid support
+    explicit = check_support_injectivity(op, np.array([1.0, 1.0, 0.0]), support=[])
+    assert explicit.support.dtype == np.int64 and explicit.support.size == 0
+    assert explicit.injectivity_constant == np.inf
 
 
 def test_injectivity_applies_only_support_columns():
@@ -581,6 +591,29 @@ def test_constants_rank_deficient_support_rejected():
     u = np.array([1.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="rank-deficient"):
         estimate_rate_constants(op, u, spec, check_source_condition(op, u, spec), 1.5)
+
+
+def test_constants_q1_columns_are_the_certificate_saturation_set():
+    # for q = 1 the columns that must be injective are those where the
+    # certificate reaches w_min, here {0, 2} although the support is {0}:
+    # c = 1/0.25 = 4, the margin off them is 0.5 and ||F|| = 1, so
+    # norm_coeff = (1 - 0.5)/(1 + 4) = 0.1; the support alone would leave
+    # column 2 at w_min and give 0
+    s = np.array([1.0, 0.5, 0.25, 0.125])
+    op = make_diagonal_linear(s)
+    spec = PenaltySpec.uniform(1.0, 1.0, 4)
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    xi = np.array([1.0, 0.5, 1.0, 0.5])
+    omega = xi / s
+    cert = SourceCertificate(
+        subgradient=xi, source_element=omega, residual=0.0, source_norm=float(np.linalg.norm(omega))
+    )
+    constants = estimate_rate_constants(op, u, spec, cert, 1.0)
+    assert constants.validated
+    assert constants.exponent == 1.0
+    assert constants.norm_coeff == pytest.approx(0.1, rel=1e-12)
+    assert constants.residual_coeff == pytest.approx(np.sqrt(34.0) + 0.4, rel=1e-12)
+    assert constants.residual_radius == np.inf and constants.penalty_radius == np.inf
 
 
 def test_theoretical_bound_goldens():

@@ -3,6 +3,7 @@
 import collections
 import inspect
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -829,6 +830,26 @@ def test_gauss_newton_frees_each_jacobian_stack_before_the_next(monkeypatch):
     monkeypatch.setattr(solver, "_linearize", recording)
     solve(op, data, spec, 2, [0.1, 0.02, 0.3], [1e-10] * 3, 50000)
     assert len(stacks) > 1
+
+
+def test_gauss_newton_shared_jacobians_stay_within_one_stack():
+    # two equal starts among eight: the distinct Jacobians and the rows'
+    # copies share the one (B, m, n) stack, so the solve peaks as it does
+    # when every start is distinct (about 1.6 stacks) and not near two
+    rng = np.random.default_rng(18)
+    op = make_toy_nonlinear(rng.standard_normal((120, 100)), rng.standard_normal((120, 100)), 0.1)
+    spec = PenaltySpec.uniform(1.5, 1.0, op.n)
+    data = rng.standard_normal((8, op.m))
+    u0 = rng.standard_normal((8, op.n))
+    u0[5] = u0[2]
+    stack_bytes = 8 * op.m * op.n * 8
+    tracemalloc.start()
+    try:
+        solve(op, data, spec, 2, [0.05] * 8, [1e-8] * 8, 200, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * stack_bytes
 
 
 def test_batched_zero_jacobian_row_matches_single():
