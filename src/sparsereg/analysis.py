@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import ForwardOperator, _row_norms, operator_norm_sq
+from .operators import ForwardOperator, _as_vector, _rank_cutoff, _row_norms, operator_norm_sq
 from .penalty import (
     PenaltySpec,
     _penalty_value,
@@ -72,7 +72,8 @@ class SourceCertificate:
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    """Smallest singular value of the derivative restricted to the support."""
+    """Smallest singular value of the derivative restricted to a set of
+    columns; `support` holds their indices."""
 
     support: np.ndarray
     smallest_singular_value: float
@@ -134,6 +135,16 @@ def _support(u) -> np.ndarray:
     return np.flatnonzero(np.abs(u) > SUPPORT_TOL)
 
 
+def _reference(op: ForwardOperator, u_dagger) -> np.ndarray:
+    """u_dagger as a float64 vector; ValueError unless it is a finite
+    vector of length op.n.  A NaN entry counts as off the support and fails
+    every comparison, so no check can judge a non-finite reference."""
+    u_dagger = _as_vector(u_dagger, op.n, "reference solution")
+    if not np.all(np.isfinite(u_dagger)):
+        raise ValueError("reference solution must be finite")
+    return u_dagger
+
+
 def check_source_condition(
     op: ForwardOperator, u_dagger, spec: PenaltySpec
 ) -> Optional[SourceCertificate]:
@@ -157,11 +168,13 @@ def check_source_condition(
     The check applies the adjoint to omega.  On the fixed coordinates
     ||F'(u)* omega - xi|| must stay within _CERT_TOL*(1 + ||xi||); that
     norm is the recorded residual.  On the free ones |F'(u)* omega| must
-    stay within the weights.  Returns None when either fails; the
-    certificate's subgradient is xi on the fixed coordinates and
-    F'(u)* omega on the free ones.
+    stay within the weights.  Both tests ask for a value inside its bound,
+    so a NaN (a subgradient that overflows, say) fails them.  Returns None
+    when either fails; the certificate's subgradient is xi on the fixed
+    coordinates and F'(u)* omega on the free ones.  Raises ValueError
+    unless u_dagger is a finite vector of length n.
     """
-    u_dagger = np.asarray(u_dagger, dtype=np.float64)
+    u_dagger = _reference(op, u_dagger)
     fixed = np.arange(op.n) if spec.q > 1.0 else _support(u_dagger)
     free = np.delete(np.arange(op.n), fixed)
     xi = penalty_subgradient(u_dagger, spec)
@@ -174,9 +187,9 @@ def check_source_condition(
     else:
         reached = op.derivative_adjoint_apply(u_dagger, omega)
     residual = float(np.linalg.norm(reached[fixed] - xi[fixed]))
-    if residual > _CERT_TOL * (1.0 + float(np.linalg.norm(xi[fixed]))):
+    if not residual <= _CERT_TOL * (1.0 + float(np.linalg.norm(xi[fixed]))):
         return None
-    if np.any(np.abs(reached[free]) > spec.weights[free] * (1.0 + 1e-10)):
+    if not np.all(np.abs(reached[free]) <= spec.weights[free] * (1.0 + 1e-10)):
         return None
     xi[free] = reached[free]
     return SourceCertificate(
@@ -205,8 +218,7 @@ def _least_l2_completion(adjoint, fixed, target):
     if free.size == 0:
         return omega
     _, svd_s, svd_vt = np.linalg.svd(rows, full_matrices=True)
-    cutoff = max(rows.shape) * np.finfo(np.float64).eps * (svd_s[0] if svd_s.size else 0.0)
-    rank = int(np.sum(svd_s > cutoff))
+    rank = int(np.sum(svd_s > _rank_cutoff(svd_s, rows.shape)))
     null_basis = svd_vt[rank:].T
     if null_basis.shape[1] > 0:
         block = adjoint[free] @ null_basis
@@ -215,46 +227,36 @@ def _least_l2_completion(adjoint, fixed, target):
     return omega
 
 
-def check_support_injectivity(op: ForwardOperator, u_dagger, support=None) -> InjectivityReport:
-    """Smallest singular value of the derivative columns on the support.
+def check_support_injectivity(op: ForwardOperator, u_dagger) -> InjectivityReport:
+    """Smallest singular value of the derivative columns on the support of
+    u_dagger, by `_injectivity`.  An empty support reports an infinite
+    constant: there is nothing to invert.  Raises ValueError unless
+    u_dagger is a finite vector of length n."""
+    u_dagger = _reference(op, u_dagger)
+    return _injectivity(op, u_dagger, _support(u_dagger))
 
-    Only the support columns are assembled, through the operator's
+
+def _injectivity(op, at, columns) -> InjectivityReport:
+    """Smallest singular value of the derivative at `at` on the given columns.
+
+    columns is an integer index array, as np.flatnonzero returns.  Only
+    those columns are assembled, through the operator's
     `derivative_columns`: stored columns where the operator holds them,
-    one derivative apply each otherwise.  An explicit `support` overrides
-    detection from u_dagger: a 1-d sequence of integer indices, distinct
-    and in [0, n).  A boolean mask, a float index or a nested sequence
-    raises ValueError rather than being cast to indices.  An empty support
-    reports an infinite constant: there is nothing to invert.
+    one derivative apply each otherwise.  A singular value at or below
+    `_rank_cutoff` counts as zero and makes the constant infinite; no
+    column reports an infinite constant with nothing to invert.
     """
-    u_dagger = np.asarray(u_dagger, dtype=np.float64)
-    if support is None:
-        support = _support(u_dagger)
-    else:
-        support = np.asarray(support)
-        if support.ndim != 1 or (support.size and support.dtype.kind not in "iu"):
-            raise ValueError(
-                f"support must be a 1-d sequence of integer indices, got {support.tolist()}"
-            )
-        support = support.astype(np.int64, copy=False)
-        # min/max and a set rather than np.unique (which imports numpy.ma),
-        # element masks or bincount, which all raised the peak RSS of a
-        # `check` process by about 0.3 MB
-        if support.size and not 0 <= support.min() <= support.max() < op.n:
-            raise ValueError(f"support indices must lie in [0, {op.n}), got {support.tolist()}")
-        if len(set(support.tolist())) < support.size:
-            raise ValueError(f"support indices must be distinct, got {support.tolist()}")
-    if support.size == 0:
+    if columns.size == 0:
         return InjectivityReport(
-            support=support, smallest_singular_value=np.inf, injectivity_constant=np.inf
+            support=columns, smallest_singular_value=np.inf, injectivity_constant=np.inf
         )
-    cols = op.derivative_columns(u_dagger, support)
+    cols = op.derivative_columns(at, columns)
     singular = np.linalg.svd(cols, compute_uv=False)
     sigma = float(singular.min())
-    # numerical-rank cutoff, same convention as matrix_rank
-    cutoff = float(max(cols.shape) * np.finfo(np.float64).eps * singular.max())
+    cutoff = _rank_cutoff(singular, cols.shape)
     constant = 1.0 / sigma if sigma > cutoff else np.inf
     return InjectivityReport(
-        support=support,
+        support=columns,
         smallest_singular_value=sigma,
         injectivity_constant=constant,
         rank_cutoff=cutoff,
@@ -288,7 +290,7 @@ def _constants_sparse(op, u_dagger, spec, cert) -> RateConstants:
     else:
         columns = np.flatnonzero(np.abs(xi) >= spec.w_min * (1.0 - 1e-12))
         name = "certificate"
-    inj = check_support_injectivity(op, u_dagger, support=columns)
+    inj = _injectivity(op, u_dagger, columns)
     # no column leaves nothing to invert; rank-deficient columns have c = inf
     c = inj.injectivity_constant if columns.size else 0.0
     if not np.isfinite(c):
@@ -371,10 +373,11 @@ def validate_rate_inequality(
     Samples outside the validity region are skipped.  Slack below -1e-9
     counts as a violation; the report counts every violation and keeps
     the first ten as (sample index, slack) pairs.  Raises ValueError for
-    fewer than 100 samples or a radius that is not positive and finite.
+    fewer than 100 samples, a radius that is not positive and finite, or
+    a u_dagger that is not a finite vector of length n.
     """
     _check_sampling(n_samples, radius)
-    u_dagger = np.asarray(u_dagger, dtype=np.float64)
+    u_dagger = _reference(op, u_dagger)
     ref_penalty = penalty_value(u_dagger, spec)
     pen, data_shift, _ = _sample_perturbations(op, u_dagger, spec, n_samples, radius, seed)
     outside = (pen >= constants.penalty_radius) | (data_shift >= constants.residual_radius)
@@ -417,14 +420,15 @@ def estimate_rate_constants(
     one serves exponent 2 with q > 1.  When exponent = q = 2 the sparse
     construction is preferred if the reference is sparse.  The returned
     coefficients are validated on n_samples perturbations; violations
-    raise with the offending samples listed.
+    raise with the offending samples listed, as does a u_dagger that is
+    not a finite vector of length n.
     cert is the source certificate of (op, u_dagger, spec) from
     check_source_condition, or None when the source condition fails.
     """
     if not op.is_linear:
         raise ValueError("rate-constant constructions require a linear operator")
     _check_sampling(n_samples, radius)
-    u_dagger = np.asarray(u_dagger, dtype=np.float64)
+    u_dagger = _reference(op, u_dagger)
     if cert is None:
         raise ValueError("source condition fails: subgradient not in the adjoint range")
     sparse = _support(u_dagger).size < op.n
@@ -520,10 +524,11 @@ def check_sparse_rate_conditions(
     constructions do not apply to them.  cert is the source certificate
     of (op, u_dagger, spec) from check_source_condition, or None when the
     source condition fails.  Raises ValueError, before any check, for
-    fewer than 100 samples or a radius that is not positive and finite.
+    fewer than 100 samples, a radius that is not positive and finite, or
+    a u_dagger that is not a finite vector of length n.
     """
     _check_sampling(n_samples, radius)
-    u_dagger = np.asarray(u_dagger, dtype=np.float64)
+    u_dagger = _reference(op, u_dagger)
     support = _support(u_dagger)
     report: dict = {
         "linear": bool(op.is_linear),

@@ -190,13 +190,9 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(result, _out_path(cfg, "sweep.csv"))
     write_rate_json(result, _out_path(cfg, "rate.json"), conditions=hypotheses["checks"])
 
-    by_delta: dict = {}
-    for row in result.rows:
-        by_delta.setdefault(row.delta, []).append(row.error_norm)
-    levels = sorted(by_delta, reverse=True)
-    means = [float(np.mean(by_delta[d])) for d in levels]
+    level_deltas, means, _ = zip(*result.levels)
     svg = render_rate_plot(
-        levels,
+        level_deltas,
         means,
         result.rate.slope,
         result.rate.intercept,

@@ -114,13 +114,22 @@ class RateEstimate:
 
 @dataclass
 class SweepResult:
-    """The rows of a sweep and its rate fit.  `left_out` lists each noise
-    level the fit left out as a (delta, reason) pair, in sweep order."""
+    """The rows of a sweep and its rate fit.
+
+    `levels` holds one (delta, mean_error, reason) triple per noise level,
+    in sweep order: the mean error norm of the level's cells, and why the
+    fit left the level out, or None for a level in the fit.  `left_out`
+    lists the (delta, reason) pairs of the left-out levels.
+    """
 
     rows: list
     rate: RateEstimate
     constants: Optional[RateConstants] = None
-    left_out: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
+
+    @property
+    def left_out(self) -> list:
+        return [(delta, reason) for delta, _, reason in self.levels if reason is not None]
 
 
 @dataclass(frozen=True)
@@ -133,21 +142,23 @@ class RecoveryReport:
 
 
 def _draw_reference(rng, n: int, sparsity: int, positions=None) -> np.ndarray:
+    if positions is not None:
+        positions = np.asarray(positions)
+        if positions.ndim != 1 or positions.size != sparsity:
+            raise ValueError(f"positions must list exactly sparsity={sparsity} indices")
+        # an empty list has a float dtype and stays valid; a boolean mask or
+        # a float index is not cast to an index
+        if positions.size and positions.dtype.kind not in "iu":
+            raise ValueError(f"positions must be integer indices, got {positions.tolist()}")
+        # a set, not np.unique: np.unique imports numpy.ma on every run
+        if len(set(positions.tolist())) != positions.size:
+            raise ValueError("positions must not repeat")
+        if positions.size and (positions.min() < 0 or positions.max() >= n):
+            raise ValueError(f"positions must lie in [0, {n})")
     u = np.zeros(n)
     if sparsity > 0:
         if positions is None:
             positions = rng.choice(n, size=sparsity, replace=False)
-        else:
-            positions = np.asarray(positions, dtype=np.intp)
-            if positions.ndim != 1 or positions.size != sparsity:
-                raise ValueError(
-                    f"positions must list exactly sparsity={sparsity} indices"
-                )
-            # a set, not np.unique: np.unique imports numpy.ma on every run
-            if len(set(positions.tolist())) != positions.size:
-                raise ValueError("positions must not repeat")
-            if positions.size and (positions.min() < 0 or positions.max() >= n):
-                raise ValueError(f"positions must lie in [0, {n})")
         magnitudes = rng.uniform(0.5, 1.5, size=sparsity)
         signs = np.where(rng.random(sparsity) < 0.5, -1.0, 1.0)
         u[positions] = signs * magnitudes
@@ -171,14 +182,19 @@ def _build_operator(kind, n, m, rng, decay, kernel_width, eps, matrix_path):
     if kind == "diagonal":
         return make_diagonal_linear((np.arange(n) + 1.0) ** (-decay))
     if kind == "convolution":
-        radius = int(np.ceil(3.0 * kernel_width))
+        if not 0.0 < kernel_width < np.inf:
+            raise ValueError(f"kernel_width must be positive and finite, got {kernel_width}")
+        # the tap count is checked before any tap is built; in Python floats
+        # a width near the float maximum gives inf taps, not an overflow
+        radius = np.ceil(3.0 * float(kernel_width))
+        taps = 2.0 * radius + 1.0
+        if taps > n:
+            raise ValueError(
+                f"kernel of width {kernel_width} needs {taps:.15g} taps, more than n={n}"
+            )
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         kernel = np.exp(-0.5 * (offsets / kernel_width) ** 2)
         kernel /= kernel.sum()
-        if kernel.size > n:
-            raise ValueError(
-                f"kernel of width {kernel_width} needs {kernel.size} taps, more than n={n}"
-            )
         return make_convolution_linear(kernel, n)
     if kind == "random-dense":
         return make_dense_linear(rng.standard_normal((m, n)) / np.sqrt(m))
@@ -295,7 +311,11 @@ def alpha_rule(delta: float, p: int, c: float = 1.0) -> float:
 
 
 def fit_rate(deltas, errors) -> RateEstimate:
-    """Least-squares fit of log(error) against log(delta)."""
+    """Least-squares fit of log(error) against log(delta).
+
+    Needs at least two distinct positive finite deltas and positive finite
+    errors; with one distinct delta there is no slope to fit.
+    """
     deltas = np.asarray(deltas, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if deltas.size != errors.size or deltas.size < 2:
@@ -303,6 +323,8 @@ def fit_rate(deltas, errors) -> RateEstimate:
     for values in (deltas, errors):
         if not np.all((values > 0.0) & (values < np.inf)):
             raise ValueError("rate fit needs positive finite deltas and errors")
+    if deltas.min() == deltas.max():
+        raise ValueError("rate fit needs at least two distinct deltas")
     x = np.log(deltas)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)
@@ -348,11 +370,12 @@ def run_sweep(
     fitted on per-level mean errors, skipping levels where the solver
     stopping threshold is within 1% of the measured error (those
     measurements would reflect the optimizer floor, not the regularization
-    error).  A level is left out, and recorded with its reason on the
-    result, when some of its cells did not converge ("k of T cells not
-    converged"), when its mean error is zero ("zero mean error"), or for
-    that floor ("solver floor").  Requires at least four usable levels;
-    the error raised otherwise lists the left-out levels.
+    error).  Every level is recorded on the result's `levels` with its
+    mean error, and a left-out level with its reason: some of its cells
+    did not converge ("k of T cells not converged"), its mean error is
+    zero ("zero mean error"), or that floor ("solver floor").  Requires at
+    least four usable levels; the error raised otherwise lists the
+    left-out levels.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 2 or any(d <= 0.0 for d in deltas):
@@ -367,9 +390,9 @@ def run_sweep(
         )
 
     cells = [(level, trial) for level in range(len(deltas)) for trial in range(trials_per_delta)]
-    levels = [deltas[level] for level, _ in cells]
-    alphas = [alpha_rule(delta, instance.p, c_alpha) for delta in levels]
-    tols = [min(solver_tol, 1e-4 * delta) for delta in levels]
+    cell_deltas = [deltas[level] for level, _ in cells]
+    alphas = [alpha_rule(delta, instance.p, c_alpha) for delta in cell_deltas]
+    tols = [min(solver_tol, 1e-4 * delta) for delta in cell_deltas]
     noisy = np.array(
         [
             add_noise(instance.clean_data, deltas[level], np.random.SeedSequence([seed, level, trial]))
@@ -400,32 +423,29 @@ def run_sweep(
         )
         outcomes.append((row, floor))
 
-    rows = [row for row, _ in outcomes]
-    fit_deltas = []
-    fit_errors = []
-    left_out = []
+    levels = []
     for level, delta in enumerate(deltas):
         group = outcomes[level * trials_per_delta : (level + 1) * trials_per_delta]
         failed = sum(not row.converged for row, _ in group)
         mean_error = float(np.mean([row.error_norm for row, _ in group]))
         worst_floor = max(floor for _, floor in group)
+        reason = None
         if failed:
-            left_out.append((delta, f"{failed} of {trials_per_delta} cells not converged"))
+            reason = f"{failed} of {trials_per_delta} cells not converged"
         elif mean_error <= 0.0:
-            left_out.append((delta, "zero mean error"))
+            reason = "zero mean error"
         elif worst_floor > 0.01 * mean_error:
-            left_out.append((delta, "solver floor"))
-        else:
-            fit_deltas.append(delta)
-            fit_errors.append(mean_error)
-    if len(fit_deltas) < MIN_RATE_LEVELS:
-        listed = "; ".join(f"{delta:.6g} ({reason})" for delta, reason in left_out)
+            reason = "solver floor"
+        levels.append((delta, mean_error, reason))
+    fit = [(delta, mean_error) for delta, mean_error, reason in levels if reason is None]
+    if len(fit) < MIN_RATE_LEVELS:
+        listed = "; ".join(f"{delta:.6g} ({reason})" for delta, _, reason in levels if reason)
         raise ValueError(
             f"rate fit needs at least {MIN_RATE_LEVELS} usable noise levels, "
-            f"got {len(fit_deltas)}; left out: {listed}"
+            f"got {len(fit)}; left out: {listed}"
         )
-    rate = fit_rate(fit_deltas, fit_errors)
-    return SweepResult(rows=rows, rate=rate, constants=constants, left_out=left_out)
+    rate = fit_rate([delta for delta, _ in fit], [error for _, error in fit])
+    return SweepResult([row for row, _ in outcomes], rate, constants, levels)
 
 
 def exact_recovery_test(

@@ -68,6 +68,14 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a, a))
 
 
+def _rank_cutoff(singular_values, shape) -> float:
+    """max(shape) * eps * sigma_max for a matrix of the given shape and
+    singular values: the numerical-rank cutoff of
+    `np.linalg.lstsq(rcond=None)` and `np.linalg.matrix_rank`, below which
+    a singular value counts as zero.  No singular value gives 0."""
+    return float(max(shape) * np.finfo(np.float64).eps * singular_values.max(initial=0.0))
+
+
 class ForwardOperator(ABC):
     """Map F from length-n coefficient vectors to length-m data vectors.
 
@@ -157,7 +165,7 @@ class ForwardOperator(ABC):
         """omega with F'(at)* omega = xi, or None when no structured solve applies.
 
         A kind answers only when its derivative is square and every
-        singular value exceeds max(m, n) * eps * sigma_max, the cutoff
+        singular value exceeds `_rank_cutoff`, max(m, n) * eps * sigma_max,
         below which `np.linalg.lstsq(rcond=None)` treats a singular value
         as zero; the solve then agrees with the least-squares one.  The
         generic operator answers None.
@@ -233,7 +241,7 @@ class _DiagonalLinear(ForwardOperator):
 
     def derivative_adjoint_solve(self, at, xi):
         s = self.singular_values
-        if s.min() <= self._n * np.finfo(np.float64).eps * s.max():
+        if s.min() <= _rank_cutoff(s, (self._n, self._n)):
             return None
         return _as_vector(xi, self._n, "subgradient") / s
 
@@ -275,7 +283,7 @@ class _CircularConvolution(ForwardOperator):
     def derivative_adjoint_solve(self, at, xi):
         # the singular values are the moduli of the frequency response
         modulus = np.abs(self._khat)
-        if modulus.min() <= self._n * np.finfo(np.float64).eps * modulus.max():
+        if modulus.min() <= _rank_cutoff(modulus, (self._n, self._n)):
             return None
         xi = _as_vector(xi, self._n, "subgradient")
         return np.fft.irfft(np.fft.rfft(xi) / np.conj(self._khat), self._n)

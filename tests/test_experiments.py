@@ -1,5 +1,7 @@
 """Problem generation, noise sweeps, rate fits, and artifact writers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ def test_fit_rate_validation():
         fit_rate([0.1, 0.0], [0.2, 0.1])
     with pytest.raises(ValueError):
         fit_rate([0.1, 0.01], [0.2, -0.1])
+
+
+@pytest.mark.parametrize(
+    "deltas, errors",
+    [([0.1, 0.1], [1.0, 2.0]), ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])],
+    ids=["two-equal", "three-equal"],
+)
+def test_fit_rate_needs_two_distinct_deltas(deltas, errors):
+    # one distinct delta has no slope: polyfit warned and returned one, or
+    # failed inside LAPACK
+    with pytest.raises(ValueError, match="two distinct deltas"):
+        fit_rate(deltas, errors)
 
 
 def test_add_noise_contract():
@@ -168,6 +182,48 @@ def test_generate_problem_positions_override():
         generate_problem("diagonal", 32, sparsity=3, seed=4, positions=(0, 5, 5))
     with pytest.raises(ValueError):
         generate_problem("diagonal", 32, sparsity=3, seed=4, positions=(0, 5, 32))
+    # an empty list has a float dtype, and is still valid for sparsity 0
+    inst = generate_problem("diagonal", 32, sparsity=0, seed=4, positions=[])
+    assert not inst.u_dagger.any()
+
+
+@pytest.mark.parametrize(
+    "sparsity, positions, match",
+    [
+        (1, [1.7], "integer indices"),
+        (1, [True], "integer indices"),
+        (0, [3, 3, 99], "sparsity=0"),
+    ],
+    ids=["float", "bool", "zero-sparsity"],
+)
+def test_generate_problem_rejects_positions_it_would_cast_or_ignore(sparsity, positions, match):
+    # 1.7 and True were cast to index 1; with sparsity 0 the positions were
+    # never read
+    with pytest.raises(ValueError, match=match):
+        generate_problem("diagonal", 8, sparsity=sparsity, seed=0, positions=positions)
+
+
+@pytest.mark.parametrize(
+    "width, match",
+    [
+        (0.0, "positive and finite"),
+        (np.inf, "positive and finite"),
+        (np.nan, "positive and finite"),
+        (-1.0, "positive and finite"),
+        (1e6, "needs 6000001 taps, more than n=16"),
+    ],
+    ids=["zero", "inf", "nan", "negative", "too-wide"],
+)
+def test_kernel_width_is_checked_before_the_kernel_is_built(width, match):
+    # a width of 1e6 built a 6000001-tap kernel (144 MB) before rejecting it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            generate_problem("convolution", 16, sparsity=2, seed=0, kernel_width=width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_generate_problem_validation_errors():
@@ -285,6 +341,22 @@ def test_run_sweep_solves_every_cell_in_one_batch(kind, monkeypatch):
         assert row.error_norm == float(np.linalg.norm(alone.minimizer - inst.u_dagger))
         assert row.residual_norm == alone.residual_norm
         assert (row.iterations, row.converged) == (alone.iterations, alone.converged)
+
+
+def test_sweep_levels_hold_each_mean_error_and_reason():
+    # at 400 iterations the smallest noise levels of this sweep do not
+    # converge, so the fit leaves them out
+    inst = generate_problem("convolution", 16, sparsity=2, q=1.5, p=2, seed=1, kernel_width=1.0)
+    deltas = np.logspace(-1, -4, 6)
+    result = run_sweep(inst, deltas, 1.0, 2, seed=0, solver_max_iter=400)
+    assert [delta for delta, _, _ in result.levels] == list(deltas)
+    for level, (delta, mean_error, reason) in enumerate(result.levels):
+        group = result.rows[2 * level : 2 * level + 2]
+        assert mean_error == float(np.mean([row.error_norm for row in group]))
+        assert (reason is None) == all(row.converged for row in group)
+    assert result.left_out == [(d, r) for d, _, r in result.levels if r is not None]
+    assert result.left_out
+    assert result.rate.n_points == len(deltas) - len(result.left_out)
 
 
 def test_run_sweep_validation():
