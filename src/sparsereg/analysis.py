@@ -10,7 +10,8 @@ operators, validates them by sampling, and evaluates the closed-form
 error and residual bounds they imply.  check_sparse_rate_conditions is
 the one hypothesis stage: it combines every check and the validated
 constants into the verdict that `sparsereg check` writes to check.json
-and that `sparsereg sweep` reports in rate.json.
+and that `sparsereg sweep` reports in rate.json; its verdict and the
+sparse rate constants read one `_sparse_hypotheses` record per instance.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -53,7 +54,7 @@ _RESIDUAL_RADIUS = 1.0
 # the sampled checks draw and evaluate their perturbations in chunks of rows
 # whose coefficient and data arrays hold at most this many float64 entries
 # each, so their memory stays flat in n and m
-_SAMPLE_CHUNK_ENTRIES = 1 << 12
+_SAMPLE_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -277,23 +278,39 @@ def _constants_quadratic(op, u_dagger, spec, cert) -> RateConstants:
     )
 
 
-def _constants_sparse(op, u_dagger, spec, cert) -> RateConstants:
+def _sparse_hypotheses(op, u_dagger, spec, cert):
+    """(on_support, on_columns, off_support, margin) at a checked u_dagger.
+
+    The injectivity reports on the support, which the verdict tests, and on
+    the columns the sparse constants need injective: the support, or for a
+    linear q = 1 instance with a certificate every column where it reaches
+    w_min.  One report serves both where the sets coincide.  For such an
+    instance, the largest |xi_j| off each set (0 off none); else None.
+    """
+    support = _support(u_dagger)
+    on_support = _injectivity(op, u_dagger, support)
+    if spec.q > 1.0 or cert is None or not op.is_linear:
+        return on_support, on_support, None, None
+    xi = np.abs(cert.subgradient)
+    columns = np.flatnonzero(xi >= spec.w_min * (1.0 - 1e-12))
+    off_support = float(np.max(np.delete(xi, support), initial=0.0))
+    if np.array_equal(columns, support):
+        return on_support, on_support, off_support, off_support
+    # columns takes every entry that reaches w_min, so margin < w_min
+    margin = float(np.max(np.delete(xi, columns), initial=0.0))
+    return on_support, _injectivity(op, u_dagger, columns), off_support, margin
+
+
+def _constants_sparse(op, u_dagger, spec, cert, hypotheses) -> RateConstants:
     # sparse construction for every q: the error on the columns that must be
     # injective is controlled through their injectivity constant c, the
-    # error off them through the penalty gap.  q picks those columns: the
-    # support for q > 1; for q = 1 every column where the certificate
-    # reaches w_min, the margin below w_min elsewhere setting the growth
-    # coefficient
-    xi = cert.subgradient
-    if spec.q > 1.0:
-        columns, name = _support(u_dagger), "support"
-    else:
-        columns = np.flatnonzero(np.abs(xi) >= spec.w_min * (1.0 - 1e-12))
-        name = "certificate"
-    inj = _injectivity(op, u_dagger, columns)
+    # error off them through the penalty gap; for q = 1 the margin below
+    # w_min off them sets the growth coefficient
+    _, inj, _, margin = hypotheses
     # no column leaves nothing to invert; rank-deficient columns have c = inf
-    c = inj.injectivity_constant if columns.size else 0.0
+    c = inj.injectivity_constant if inj.support.size else 0.0
     if not np.isfinite(c):
+        name = "support" if spec.q > 1.0 else "certificate"
         raise ValueError(f"{name} columns of the derivative are rank-deficient")
     op_norm = np.sqrt(operator_norm_sq(op, u_dagger))
     if spec.q > 1.0:
@@ -303,10 +320,7 @@ def _constants_sparse(op, u_dagger, spec, cert) -> RateConstants:
         )
         residual_radius = _RESIDUAL_RADIUS
     else:
-        off = np.delete(np.arange(op.n), columns)
-        # columns takes every entry that reaches w_min, so margin_top < w_min (or NaN)
-        margin_top = float(np.max(np.abs(xi[off]))) if off.size else 0.0
-        norm_coeff = (spec.w_min - margin_top) / (1.0 + c * op_norm)
+        norm_coeff = (spec.w_min - margin) / (1.0 + c * op_norm)
         residual_coeff = cert.source_norm + c * norm_coeff
         residual_radius = np.inf
     return RateConstants(
@@ -345,12 +359,16 @@ def _sample_perturbations(op, u_dagger, spec, n_samples, radius, seed, lineariza
     data_shift = np.empty(n_samples)
     lin_err = np.empty(n_samples) if linearization else None
     rows = max(1, _SAMPLE_CHUNK_ENTRIES // max(op.n, op.m))
+    buffer = np.empty((min(rows, n_samples), op.n))
     for first in range(0, n_samples, rows):
         chunk = slice(first, min(first + rows, n_samples))
-        direction = rng.standard_normal((chunk.stop - first, op.n))
-        direction /= _row_norms(direction)[:, None]
-        u = u_dagger + radius * direction
-        shifted = op.apply(u) - ref_data
+        u = buffer[: chunk.stop - first]
+        rng.standard_normal(out=u)
+        u /= _row_norms(u)[:, None]
+        u *= radius
+        u += u_dagger
+        shifted = op.apply(u)
+        shifted -= ref_data
         pen[chunk] = _penalty_value(u, spec)
         data_shift[chunk] = _row_norms(shifted)
         if linearization:
@@ -415,13 +433,12 @@ def estimate_rate_constants(
     exponent selects one of two constructions.  The sparse one,
     `_constants_sparse`, serves exponent 1 with q = 1, and exponent q
     (within 1e-12) with a sparse reference; its exponent is q, and q only
-    picks the columns that must be injective: the support for q > 1, every
-    column where the certificate reaches w_min for q = 1.  The quadratic
-    one serves exponent 2 with q > 1.  When exponent = q = 2 the sparse
-    construction is preferred if the reference is sparse.  The returned
-    coefficients are validated on n_samples perturbations; violations
-    raise with the offending samples listed, as does a u_dagger that is
-    not a finite vector of length n.
+    picks the columns that must be injective (see `_sparse_hypotheses`).
+    The quadratic one serves exponent 2 with q > 1.  When exponent = q = 2
+    the sparse construction is preferred if the reference is sparse.  The
+    returned coefficients are validated on n_samples perturbations;
+    violations raise with the offending samples listed, as does a u_dagger
+    that is not a finite vector of length n.
     cert is the source certificate of (op, u_dagger, spec) from
     check_source_condition, or None when the source condition fails.
     """
@@ -429,13 +446,22 @@ def estimate_rate_constants(
         raise ValueError("rate-constant constructions require a linear operator")
     _check_sampling(n_samples, radius)
     u_dagger = _reference(op, u_dagger)
+    return _rate_constants(op, u_dagger, spec, cert, exponent, None, n_samples, radius, seed)
+
+
+def _rate_constants(
+    op, u_dagger, spec, cert, exponent, hypotheses, n_samples, radius, seed
+) -> RateConstants:
+    """estimate_rate_constants after its argument checks; hypotheses is
+    `_sparse_hypotheses` of the instance, or None to compute it if needed."""
     if cert is None:
         raise ValueError("source condition fails: subgradient not in the adjoint range")
     sparse = _support(u_dagger).size < op.n
     if exponent == 1.0 and spec.q != 1.0:
         raise ValueError("exponent 1 requires q = 1")
     if exponent == 1.0 or (abs(exponent - spec.q) <= 1e-12 and sparse):
-        constants = _constants_sparse(op, u_dagger, spec, cert)
+        hypotheses = hypotheses or _sparse_hypotheses(op, u_dagger, spec, cert)
+        constants = _constants_sparse(op, u_dagger, spec, cert, hypotheses)
     elif exponent == 2.0 and spec.q > 1.0:
         constants = _constants_quadratic(op, u_dagger, spec, cert)
     else:
@@ -495,6 +521,25 @@ def theoretical_bound(constants: RateConstants, p: int, alpha: float, delta: flo
     return float(err_pow ** (1.0 / constants.exponent)), float(residual_bound)
 
 
+def _linearization_fit(op, u_dagger, spec, n_samples, radius, seed) -> dict:
+    """check.json's sampled linearization-error fit: with that coefficient
+    pinned at one, the least data-shift coefficient covering every sample.
+    A sample with unmoved data must be covered by the penalty gap alone."""
+    pen, data_shift, lin_err = _sample_perturbations(
+        op, u_dagger, spec, n_samples, radius, seed, linearization=True
+    )
+    gap = pen - penalty_value(u_dagger, spec)
+    still = data_shift <= 0.0
+    excess = (lin_err[~still] - gap[~still]) / data_shift[~still]
+    return {
+        "passed": not np.any(gap[still] < lin_err[still] - 1e-12),
+        "linearization_coeff": 1.0,
+        "data_shift_coeff": max(float(np.fmax.reduce(excess, initial=0.0)), 1e-12),
+        "n_samples": n_samples,
+        "radius": radius,
+    }
+
+
 def check_sparse_rate_conditions(
     op: ForwardOperator,
     u_dagger,
@@ -515,26 +560,26 @@ def check_sparse_rate_conditions(
 
     Linear operators reduce to the source condition plus support
     injectivity (for q = 1 also the off-support margin, with the penalty
-    gap split in half), and get the rate constants of exponent q from
-    estimate_rate_constants; the ValueError of a failed construction or
-    validation is recorded as the constants' error.  Nonlinear operators
-    get a sampled fit of the linearization-error inequality instead: the
-    data-shift coefficient is the smallest value covering all samples with
-    the linearization coefficient pinned at one.  The explicit constant
-    constructions do not apply to them.  cert is the source certificate
-    of (op, u_dagger, spec) from check_source_condition, or None when the
-    source condition fails.  Raises ValueError, before any check, for
-    fewer than 100 samples, a radius that is not positive and finite, or
-    a u_dagger that is not a finite vector of length n.
+    gap split in half), and get the rate constants of exponent q that
+    estimate_rate_constants returns, from the same `_sparse_hypotheses`;
+    the ValueError of a failed construction or validation is recorded as
+    the constants' error.  Nonlinear operators get `_linearization_fit`
+    instead; the explicit constant constructions do not apply to them.
+    cert is the source certificate of (op, u_dagger, spec) from
+    check_source_condition, or None when the source condition fails.
+    Raises ValueError, before any check, for fewer than 100 samples, a
+    radius that is not positive and finite, or a u_dagger that is not a
+    finite vector of length n.
     """
     _check_sampling(n_samples, radius)
     u_dagger = _reference(op, u_dagger)
-    support = _support(u_dagger)
+    hypotheses = _sparse_hypotheses(op, u_dagger, spec, cert)
+    inj, _, off_support, _ = hypotheses
     report: dict = {
         "linear": bool(op.is_linear),
         "q": spec.q,
-        "sparsity": int(support.size),
-        "sparse": bool(support.size < op.n),
+        "sparsity": int(inj.support.size),
+        "sparse": bool(inj.support.size < op.n),
     }
     if cert is None:
         report["source_condition"] = {"passed": False}
@@ -544,57 +589,37 @@ def check_sparse_rate_conditions(
             "residual": cert.residual,
             "source_norm": cert.source_norm,
         }
-    inj = check_support_injectivity(op, u_dagger)
     report["support_injectivity"] = {
         **asdict(inj),
         "support": inj.support.tolist(),
         "injective": inj.injective,
         "passed": inj.injective,
     }
-    checks = [report["sparse"], cert is not None, inj.injective]
-    if op.is_linear and spec.q == 1.0 and cert is not None:
-        off = np.delete(np.arange(op.n), support)
-        margin_top = float(np.max(np.abs(cert.subgradient[off]))) if off.size else 0.0
-        entry = {
-            "passed": margin_top < spec.w_min,
-            "max_off_support": margin_top,
+    if off_support is not None:
+        report["off_support_margin"] = {
+            "passed": off_support < spec.w_min,
+            "max_off_support": off_support,
             "min_weight": spec.w_min,
             "gap_split": 0.5,
         }
-        report["off_support_margin"] = entry
-        checks.append(entry["passed"])
     constants = None
     if op.is_linear:
         try:
-            constants = estimate_rate_constants(
-                op, u_dagger, spec, cert, spec.q, n_samples, radius, seed
+            constants = _rate_constants(
+                op, u_dagger, spec, cert, spec.q, hypotheses, n_samples, radius, seed
             )
         except ValueError as exc:
             rates = {"passed": False, "error": str(exc)}
         else:
             rates = {**asdict(constants), "passed": True}
     else:
-        pen, data_shift, lin_err = _sample_perturbations(
-            op, u_dagger, spec, n_samples, radius, seed, linearization=True
+        report["linearization_inequality"] = _linearization_fit(
+            op, u_dagger, spec, n_samples, radius, seed
         )
-        lin_coeff = 1.0
-        gap = pen - penalty_value(u_dagger, spec)
-        # a sample that leaves the data unmoved needs the penalty gap alone
-        # to cover the linearization error; the others set the coefficient
-        still = data_shift <= 0.0
-        finite = not np.any(gap[still] < lin_coeff * lin_err[still] - 1e-12)
-        excess = (lin_coeff * lin_err[~still] - gap[~still]) / data_shift[~still]
-        needed = float(np.fmax.reduce(excess, initial=0.0))
-        entry = {
-            "passed": finite,
-            "linearization_coeff": lin_coeff,
-            "data_shift_coeff": max(needed, 1e-12),
-            "n_samples": n_samples,
-            "radius": radius,
-        }
-        report["linearization_inequality"] = entry
-        checks.append(finite)
         rates = {"applicable": False}
-    report["passed"] = bool(all(checks))
+    # the verdict: a sparse reference, and every entry above passes
+    report["passed"] = report["sparse"] and all(
+        entry["passed"] for entry in report.values() if isinstance(entry, dict)
+    )
     passed = report["passed"] and rates.get("passed", True)
     return {"checks": report, "constants": rates, "passed": passed}, constants

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from .experiments import MIN_RATE_LEVELS, PROBLEM_KINDS, SQUARE_KINDS
+from .experiments import MIN_RATE_LEVELS, PROBLEM_KINDS, SQUARE_KINDS, _check_positions
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config", "load_config"]
 
@@ -142,15 +142,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.kind == "csv" and not cfg.matrix_path:
         fail("problem.matrix_path", "required when kind = csv")
     if cfg.positions is not None:
-        if len(cfg.positions) != cfg.sparsity:
-            fail(
-                "problem.positions",
-                f"must list exactly sparsity={cfg.sparsity} indices, got {len(cfg.positions)}",
-            )
-        if len(set(cfg.positions)) != len(cfg.positions):
-            fail("problem.positions", "indices must not repeat")
-        if any(pos < 0 or pos >= cfg.n for pos in cfg.positions):
-            fail("problem.positions", f"indices must lie in [0, n={cfg.n})")
+        try:
+            _check_positions(cfg.positions, cfg.n, cfg.sparsity)
+        except ValueError as exc:
+            fail("problem.positions", str(exc))
     if cfg.weights_mode not in ("uniform", "explicit"):
         fail("weights.mode", f"must be 'uniform' or 'explicit', got {cfg.weights_mode!r}")
     if cfg.weights_mode == "uniform":

@@ -141,20 +141,29 @@ class RecoveryReport:
     threshold: float
 
 
+def _check_positions(positions, n: int, sparsity: int) -> np.ndarray:
+    """positions as an index array; ValueError unless it lists exactly
+    sparsity distinct integer indices in [0, n).  Config validation runs it."""
+    positions = np.asarray(positions)
+    if positions.ndim != 1 or positions.size != sparsity:
+        raise ValueError(
+            f"positions must list exactly sparsity={sparsity} indices, got {positions.tolist()}"
+        )
+    # an empty list has a float dtype and stays valid; a boolean mask or
+    # a float index is not cast to an index
+    if positions.size and positions.dtype.kind not in "iu":
+        raise ValueError(f"positions must be integer indices, got {positions.tolist()}")
+    # a set, not np.unique: np.unique imports numpy.ma on every run
+    if len(set(positions.tolist())) != positions.size:
+        raise ValueError("positions must not repeat")
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        raise ValueError(f"positions must lie in [0, n={n})")
+    return positions
+
+
 def _draw_reference(rng, n: int, sparsity: int, positions=None) -> np.ndarray:
     if positions is not None:
-        positions = np.asarray(positions)
-        if positions.ndim != 1 or positions.size != sparsity:
-            raise ValueError(f"positions must list exactly sparsity={sparsity} indices")
-        # an empty list has a float dtype and stays valid; a boolean mask or
-        # a float index is not cast to an index
-        if positions.size and positions.dtype.kind not in "iu":
-            raise ValueError(f"positions must be integer indices, got {positions.tolist()}")
-        # a set, not np.unique: np.unique imports numpy.ma on every run
-        if len(set(positions.tolist())) != positions.size:
-            raise ValueError("positions must not repeat")
-        if positions.size and (positions.min() < 0 or positions.max() >= n):
-            raise ValueError(f"positions must lie in [0, {n})")
+        positions = _check_positions(positions, n, sparsity)
     u = np.zeros(n)
     if sparsity > 0:
         if positions is None:

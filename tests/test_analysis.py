@@ -740,6 +740,80 @@ def test_sparse_conditions_rank_deficient_support():
     assert payload["passed"] is False
 
 
+def _count_injectivity(monkeypatch):
+    # the column sets analysis._injectivity is called on, in call order
+    calls = []
+    injectivity = analysis._injectivity
+
+    def counting(op, at, columns):
+        calls.append(columns.tolist())
+        return injectivity(op, at, columns)
+
+    monkeypatch.setattr(analysis, "_injectivity", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "q, seed, positions",
+    [(1.0, 0, (0, 1, 2)), (1.5, 7, (0, 5, 15)), (2.0, 7, (0, 5, 15))],
+    ids=["q1_diagonal", "q15_diagonal", "q2_diagonal"],
+)
+def test_sparse_conditions_one_injectivity_report(monkeypatch, q, seed, positions):
+    # the reference instances of configs/: the verdict and the rate
+    # constants test the same columns, and share one report of them
+    inst = generate_problem("diagonal", 64, sparsity=3, q=q, p=2, seed=seed, positions=positions)
+    calls = _count_injectivity(monkeypatch)
+    payload, constants = check_sparse_rate_conditions(
+        inst.operator, inst.u_dagger, inst.spec, inst.certificate
+    )
+    assert calls == [list(positions)]
+    assert payload["passed"] is True and constants.validated
+
+
+def test_sparse_conditions_certificate_saturating_off_support(monkeypatch):
+    # xi = F* omega = (1, 1, 0) reaches the weight on column 1, off the
+    # support: the verdict tests the support [0] and its margin, the sparse
+    # constants the saturation set [0, 1], whose two columns are equal
+    op = make_dense_linear([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    spec = PenaltySpec.uniform(1.0, 1.0, 3)
+    u = np.array([1.0, 0.0, 0.0])
+    cert = check_source_condition(op, u, spec)
+    np.testing.assert_array_equal(cert.subgradient, [1.0, 1.0, 0.0])
+    calls = _count_injectivity(monkeypatch)
+    payload, constants = check_sparse_rate_conditions(op, u, spec, cert)
+    assert calls == [[0], [0, 1]]
+    assert constants is None
+    assert payload == {
+        "checks": {
+            "linear": True,
+            "q": 1.0,
+            "sparsity": 1,
+            "sparse": True,
+            "source_condition": {"passed": True, "residual": 0.0, "source_norm": 1.0},
+            "support_injectivity": {
+                "support": [0],
+                "smallest_singular_value": 1.0,
+                "injectivity_constant": 1.0,
+                "rank_cutoff": 2 * np.finfo(float).eps,
+                "injective": True,
+                "passed": True,
+            },
+            "off_support_margin": {
+                "passed": False,
+                "max_off_support": 1.0,
+                "min_weight": 1.0,
+                "gap_split": 0.5,
+            },
+            "passed": False,
+        },
+        "constants": {
+            "passed": False,
+            "error": "certificate columns of the derivative are rank-deficient",
+        },
+        "passed": False,
+    }
+
+
 def test_sparse_conditions_nonlinear_sampled():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((24, 16)) / np.sqrt(24)
@@ -763,7 +837,7 @@ def test_sparse_conditions_nonlinear_sampled():
 
 @pytest.mark.parametrize("n_samples", [1000, 333])
 def test_sparse_conditions_nonlinear_bit_identical(n_samples):
-    # the toy operator's samples run in chunks of 170 rows (m = 24), the
+    # the toy operator's samples run in chunks of 682 rows (m = 24), the
     # last one partial
     rng = np.random.default_rng(3)
     a = rng.standard_normal((24, 16)) / np.sqrt(24)
@@ -875,7 +949,7 @@ def test_sampled_values_bit_identical_per_sample(op, n_samples):
 
 def test_sampled_checks_memory_bounded_for_tall_operator():
     # chunks are sized by the longer of n and m: sizing them by n alone
-    # would give 1024 rows of 4000 data entries, 32 MB per array
+    # would give 4096 rows of 4000 data entries, 131 MB per array
     op = make_dense_linear(np.random.default_rng(0).standard_normal((4000, 4)))
     spec = PenaltySpec.uniform(1.5, 1.0, 4)
     u = np.array([1.0, 0.0, 0.0, 0.0])

@@ -560,6 +560,20 @@ def test_cli_sweep_setup_does_not_import_numpy_ma(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 False"
 
 
+def test_cli_import_does_not_load_scipy():
+    # the runtime code depends on NumPy alone; scipy is a test dependency
+    script = (
+        "import sys\n"
+        "import sparsereg.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_duplicate_positions_is_config_error(tmp_path, capsys):
     text = (ROOT / "configs" / "q15_diagonal.cfg").read_text()
     cfg = _write(tmp_path / "dup.cfg", text.replace("positions = 0,5,15", "positions = 0,5,5"))
