@@ -27,6 +27,7 @@ from .penalty import (
     penalty_value,
     scalar_bregman_constant,
 )
+from .solver import _check_p
 
 __all__ = [
     "SourceCertificate",
@@ -486,6 +487,16 @@ def _rate_constants(
     return replace(constants, validated=True)
 
 
+def _check_p1_coupling(p: int, constants: Optional[RateConstants], alpha: float) -> None:
+    """ValueError unless alpha*residual_coeff < 1, which the p = 1 bounds
+    need; a p = 1 sweep's alpha is its c_alpha.  No constants: no check."""
+    if p == 1 and constants is not None and not alpha * constants.residual_coeff < 1.0:
+        raise ValueError(
+            "p = 1 bounds need alpha*residual_coeff < 1, alpha below the reciprocal "
+            f"of the residual coefficient; got {alpha * constants.residual_coeff:.6g}"
+        )
+
+
 def theoretical_bound(constants: RateConstants, p: int, alpha: float, delta: float):
     """Closed-form error and residual bounds implied by the constants.
 
@@ -495,18 +506,14 @@ def theoretical_bound(constants: RateConstants, p: int, alpha: float, delta: flo
     p = 2 residual bound is the square root of the bound on the squared
     residual.
     """
-    if p not in (1, 2):
-        raise ValueError(f"data exponent p must be 1 or 2, got {p}")
+    _check_p(p)
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
+    _check_p1_coupling(p, constants, alpha)
     coupling = alpha * constants.residual_coeff
     if p == 1:
-        if coupling >= 1.0:
-            raise ValueError(
-                f"p = 1 bound needs alpha*residual_coeff < 1, got {coupling:.6g}"
-            )
         err_pow = (1.0 + coupling) * delta / (alpha * constants.norm_coeff)
         residual_bound = (1.0 + coupling) * delta / (1.0 - coupling)
     else:

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import check_sparse_rate_conditions
-from .config import ConfigError, ExperimentConfig, load_config
+from .analysis import _check_p1_coupling, check_sparse_rate_conditions
+from .config import ConfigError, ExperimentConfig, _field_error, load_config
 from .experiments import (
     add_noise,
     alpha_rule,
@@ -58,7 +58,8 @@ def _load(args) -> ExperimentConfig:
 
 def _build_instance(cfg: ExperimentConfig):
     """The configured instance; a config the instance rejects is a
-    configuration error.  The config sets weights only under explicit."""
+    configuration error, naming the field when the library names the
+    argument.  The config sets weights only under explicit."""
     try:
         return generate_problem(
             cfg.kind,
@@ -77,7 +78,7 @@ def _build_instance(cfg: ExperimentConfig):
             weights=cfg.weights,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _field_error(exc) from exc
 
 
 def _make_out_dir(cfg: ExperimentConfig) -> None:
@@ -162,11 +163,10 @@ def cmd_sweep(args) -> int:
     hypotheses, constants = check_sparse_rate_conditions(
         instance.operator, instance.u_dagger, instance.spec, instance.certificate
     )
-    if instance.p == 1 and constants is not None and cfg.c_alpha * constants.residual_coeff >= 1.0:
-        raise ConfigError(
-            f"sweep.c_alpha: p = 1 bounds need c_alpha * residual_coeff < 1, got "
-            f"{cfg.c_alpha * constants.residual_coeff:.6g}"
-        )
+    try:
+        _check_p1_coupling(instance.p, constants, cfg.c_alpha)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.c_alpha: {exc}") from exc
     _make_out_dir(cfg)
 
     deltas = np.logspace(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from .experiments import MIN_RATE_LEVELS, PROBLEM_KINDS, SQUARE_KINDS, _check_positions
+from .experiments import MIN_RATE_LEVELS, _ArgumentError, _check_problem
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config", "load_config"]
 
@@ -113,56 +113,42 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# attribute -> "section.key", the inverse of _SCHEMA
+_FIELDS = {
+    attr: f"{section}.{key}" for section, keys in _SCHEMA.items() for key, (attr, _) in keys.items()
+}
+
+
+def _field_error(exc: ValueError) -> ConfigError:
+    """The ConfigError of a library ValueError; one that names a
+    generate_problem argument names the config field of that name."""
+    if isinstance(exc, _ArgumentError):
+        return ConfigError(f"{_FIELDS[exc.name]}: {exc}")
+    return ConfigError(str(exc))
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The library's checks of the problem arguments, and the rules only a
+    config has: the seed, the weights mode, [sweep], [solver], [output]."""
+
     def fail(field: str, message: str):
         raise ConfigError(f"{field}: {message}")
 
-    if cfg.kind not in PROBLEM_KINDS:
-        fail("problem.kind", f"got {cfg.kind!r}, expected one of {PROBLEM_KINDS}")
-    if cfg.n < 1:
-        fail("problem.n", f"must be a positive integer, got {cfg.n}")
-    if cfg.m is not None and cfg.m < 1:
-        fail("problem.m", f"must be a positive integer, got {cfg.m}")
-    if cfg.m is not None and cfg.m != cfg.n and cfg.kind in SQUARE_KINDS:
-        fail("problem.m", f"kind {cfg.kind} is square, so m must equal n={cfg.n}, got {cfg.m}")
-    if not 0 <= cfg.sparsity <= cfg.n:
-        fail("problem.sparsity", f"must lie in [0, n={cfg.n}], got {cfg.sparsity}")
-    if not 1.0 <= cfg.q <= 2.0:
-        fail("problem.q", f"must lie in [1, 2], got {cfg.q}")
-    if cfg.p not in (1, 2):
-        fail("problem.p", f"must be 1 or 2, got {cfg.p}")
-    if cfg.p == 1 and cfg.kind == "toy-nonlinear":
-        fail("problem.p", "p = 1 needs a linear kind, got toy-nonlinear")
     if cfg.seed < 0:
         fail("problem.seed", f"must be a nonnegative integer, got {cfg.seed}")
-    if cfg.decay <= 0:
-        fail("problem.decay", f"must be positive, got {cfg.decay}")
-    if cfg.kernel_width <= 0:
-        fail("problem.kernel_width", f"must be positive, got {cfg.kernel_width}")
-    if cfg.kind == "csv" and not cfg.matrix_path:
-        fail("problem.matrix_path", "required when kind = csv")
-    if cfg.positions is not None:
-        try:
-            _check_positions(cfg.positions, cfg.n, cfg.sparsity)
-        except ValueError as exc:
-            fail("problem.positions", str(exc))
     if cfg.weights_mode not in ("uniform", "explicit"):
         fail("weights.mode", f"must be 'uniform' or 'explicit', got {cfg.weights_mode!r}")
-    if cfg.weights_mode == "uniform":
-        if cfg.weight <= 0:
-            fail("weights.value", f"must be positive, got {cfg.weight}")
-        if cfg.weights is not None:
-            fail("weights.values", "set only with mode = explicit")
-    else:
-        if cfg.weights is None:
-            fail("weights.values", "required when mode = explicit")
-        if len(cfg.weights) != cfg.n:
-            fail(
-                "weights.values",
-                f"must list exactly n={cfg.n} entries, got {len(cfg.weights)}",
-            )
-        if any(w <= 0 for w in cfg.weights):
-            fail("weights.values", "all entries must be positive")
+    if cfg.weights_mode == "uniform" and cfg.weights is not None:
+        fail("weights.values", "set only with mode = explicit")
+    if cfg.weights_mode == "explicit" and cfg.weights is None:
+        fail("weights.values", "required when mode = explicit")
+    try:
+        _check_problem(
+            cfg.kind, cfg.n, cfg.m, cfg.sparsity, cfg.q, cfg.p, cfg.weight, cfg.weights,
+            cfg.decay, cfg.kernel_width, cfg.matrix_path, cfg.positions,
+        )
+    except _ArgumentError as exc:
+        raise _field_error(exc) from exc
     if cfg.delta_min <= 0:
         fail("sweep.delta_min", f"noise levels must be positive, got {cfg.delta_min}")
     if cfg.delta_max <= 0:

@@ -16,6 +16,7 @@ import numpy as np
 from .analysis import (
     RateConstants,
     SourceCertificate,
+    _check_p1_coupling,
     check_source_condition,
     theoretical_bound,
 )
@@ -29,7 +30,7 @@ from .operators import (
     make_toy_nonlinear,
 )
 from .penalty import PenaltySpec, penalty_subgradient
-from .solver import solve
+from .solver import _check_p, solve
 
 __all__ = [
     "PROBLEM_KINDS",
@@ -73,10 +74,7 @@ class ProblemInstance:
     p: int
 
     def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ValueError(f"data exponent p must be 1 or 2, got {self.p}")
-        if self.p == 1 and not self.operator.is_linear:
-            raise ValueError("data exponent p = 1 needs a linear operator")
+        _check_p(self.p, self.operator.is_linear)
 
     @cached_property
     def certificate(self) -> Optional[SourceCertificate]:
@@ -141,9 +139,26 @@ class RecoveryReport:
     threshold: float
 
 
-def _check_positions(positions, n: int, sparsity: int) -> np.ndarray:
-    """positions as an index array; ValueError unless it lists exactly
-    sparsity distinct integer indices in [0, n).  Config validation runs it."""
+class _ArgumentError(ValueError):
+    """ValueError of a rule on the generate_problem argument `name`; the
+    config and the CLI report it under the config field of that name."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def _named(name: str, check, *args):
+    """check(*args), with a ValueError it raises blamed on argument `name`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _ArgumentError(name, str(exc)) from exc
+
+
+def _check_positions(positions, n: int, sparsity: int) -> None:
+    """ValueError unless positions lists exactly sparsity distinct integer
+    indices in [0, n)."""
     positions = np.asarray(positions)
     if positions.ndim != 1 or positions.size != sparsity:
         raise ValueError(
@@ -158,16 +173,63 @@ def _check_positions(positions, n: int, sparsity: int) -> np.ndarray:
         raise ValueError("positions must not repeat")
     if positions.size and (positions.min() < 0 or positions.max() >= n):
         raise ValueError(f"positions must lie in [0, n={n})")
-    return positions
+
+
+def _kernel_radius(kernel_width: float) -> float:
+    # a width near the float maximum gives an inf radius, not an overflow
+    return np.ceil(3.0 * float(kernel_width))
+
+
+def _check_problem(
+    kind, n, m, sparsity, q, p, weight, weights, decay, kernel_width, matrix_path, positions
+) -> None:
+    """Every rule on generate_problem's arguments that needs no file read
+    and no n-sized array, so that a config is checked before anything is
+    built; raises _ArgumentError naming the argument at fault."""
+
+    def fail(name: str, message: str):
+        raise _ArgumentError(name, message)
+
+    if kind not in PROBLEM_KINDS:
+        fail("kind", f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
+    if not n >= 1:
+        fail("n", f"n must be a positive integer, got {n}")
+    if m is not None and not m >= 1:
+        fail("m", f"m must be a positive integer, got {m}")
+    if m is not None and kind in SQUARE_KINDS and m != n:
+        fail("m", f"kind {kind!r} is square, so m must equal n={n}, got {m}")
+    if not 0 <= sparsity <= n:
+        fail("sparsity", f"sparsity must lie in [0, n={n}], got {sparsity}")
+    # the penalty's own rules, q first on a one-weight spec, so that a spec
+    # that fails after it fails on its weights
+    _named("q", PenaltySpec, q, (1.0,))
+    if weights is None:
+        _named("weight", PenaltySpec, q, (weight,))
+    elif _named("weights", PenaltySpec, q, weights).n != n:
+        fail("weights", f"weights must have length n={n}, got {len(weights)}")
+    _named("p", _check_p, p, kind != "toy-nonlinear")
+    if not decay > 0.0:
+        fail("decay", f"decay must be positive, got {decay}")
+    # the diagonal kind's smallest singular value, n^-decay, as a scalar
+    if kind == "diagonal" and float(n) ** -float(decay) == 0.0:
+        fail("decay", f"decay {decay} underflows the singular value n^-decay to 0 at n={n}")
+    if not 0.0 < kernel_width < np.inf:
+        fail("kernel_width", f"kernel_width must be positive and finite, got {kernel_width}")
+    taps = 2.0 * _kernel_radius(kernel_width) + 1.0
+    if kind == "convolution" and taps > n:
+        fail("kernel_width", f"kernel width {kernel_width} needs {taps:.15g} taps, more than n={n}")
+    if kind == "csv" and not matrix_path:
+        fail("matrix_path", "kind 'csv' requires matrix_path")
+    if positions is not None:
+        _named("positions", _check_positions, positions, n, sparsity)
 
 
 def _draw_reference(rng, n: int, sparsity: int, positions=None) -> np.ndarray:
-    if positions is not None:
-        positions = _check_positions(positions, n, sparsity)
     u = np.zeros(n)
     if sparsity > 0:
         if positions is None:
             positions = rng.choice(n, size=sparsity, replace=False)
+        positions = np.asarray(positions)
         magnitudes = rng.uniform(0.5, 1.5, size=sparsity)
         signs = np.where(rng.random(sparsity) < 0.5, -1.0, 1.0)
         u[positions] = signs * magnitudes
@@ -178,40 +240,31 @@ def _build_operator(kind, n, m, rng, decay, kernel_width, eps, matrix_path):
     # m is None when the caller left it unset: the csv matrix then sets it,
     # and the other kinds take m = n
     if kind == "csv":
-        if matrix_path is None:
-            raise ValueError("kind 'csv' requires matrix_path")
-        matrix = load_matrix_csv(matrix_path)
+        try:
+            matrix = load_matrix_csv(matrix_path)
+        except (OSError, ValueError) as exc:
+            raise _ArgumentError("matrix_path", str(exc)) from exc
         rows, cols = matrix.shape
         if cols != n:
-            raise ValueError(f"matrix file {matrix_path} has {cols} columns, but n={n}")
+            raise _ArgumentError("n", f"matrix file {matrix_path} has {cols} columns, but n={n}")
         if m is not None and rows != m:
-            raise ValueError(f"matrix file {matrix_path} has {rows} rows, but m={m}")
+            raise _ArgumentError("m", f"matrix file {matrix_path} has {rows} rows, but m={m}")
         return make_dense_linear(matrix)
     m = n if m is None else m
     if kind == "diagonal":
         return make_diagonal_linear((np.arange(n) + 1.0) ** (-decay))
     if kind == "convolution":
-        if not 0.0 < kernel_width < np.inf:
-            raise ValueError(f"kernel_width must be positive and finite, got {kernel_width}")
-        # the tap count is checked before any tap is built; in Python floats
-        # a width near the float maximum gives inf taps, not an overflow
-        radius = np.ceil(3.0 * float(kernel_width))
-        taps = 2.0 * radius + 1.0
-        if taps > n:
-            raise ValueError(
-                f"kernel of width {kernel_width} needs {taps:.15g} taps, more than n={n}"
-            )
+        radius = _kernel_radius(kernel_width)
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         kernel = np.exp(-0.5 * (offsets / kernel_width) ** 2)
         kernel /= kernel.sum()
         return make_convolution_linear(kernel, n)
     if kind == "random-dense":
         return make_dense_linear(rng.standard_normal((m, n)) / np.sqrt(m))
-    if kind == "toy-nonlinear":
-        a = rng.standard_normal((m, n)) / np.sqrt(m)
-        b = rng.standard_normal((m, n)) / np.sqrt(m)
-        return make_toy_nonlinear(a, b, eps)
-    raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
+    # toy-nonlinear, the one kind left after _check_problem
+    a = rng.standard_normal((m, n)) / np.sqrt(m)
+    b = rng.standard_normal((m, n)) / np.sqrt(m)
+    return make_toy_nonlinear(a, b, eps)
 
 
 def generate_problem(
@@ -239,19 +292,14 @@ def generate_problem(
     which noise levels keep it above the shrinkage threshold, so rate
     studies need it pinned.  The instance is one draw from the stream
     np.random.default_rng([seed, 0]), built as configured whether or not
-    the rate hypotheses hold; p is checked when the instance is built, and
-    its source certificate is computed on first read.
+    the rate hypotheses hold; the rules on the arguments are checked
+    before anything is built, and its source certificate is computed on
+    first read.
     """
-    if not 0 <= sparsity <= n:
-        raise ValueError(f"sparsity must lie in [0, n={n}], got {sparsity}")
-    if m is not None and kind in SQUARE_KINDS and m != n:
-        raise ValueError(f"kind {kind!r} is square, so m must equal n={n}, got {m}")
-    if weights is None:
-        spec = PenaltySpec.uniform(q, weight, n)
-    else:
-        spec = PenaltySpec(q, np.asarray(weights, dtype=np.float64))
-        if spec.n != n:
-            raise ValueError(f"weights must have length n={n}, got {spec.n}")
+    _check_problem(
+        kind, n, m, sparsity, q, p, weight, weights, decay, kernel_width, matrix_path, positions
+    )
+    spec = PenaltySpec.uniform(q, weight, n) if weights is None else PenaltySpec(q, weights)
     rng = np.random.default_rng([seed, 0])
     op = _build_operator(kind, n, m, rng, decay, kernel_width, eps, matrix_path)
     u = _draw_reference(rng, op.n, sparsity, positions)
@@ -310,8 +358,7 @@ def add_noise(clean, delta: float, seed) -> np.ndarray:
 
 def alpha_rule(delta: float, p: int, c: float = 1.0) -> float:
     """Regularization weight c * delta^(p-1); constant in delta for p = 1."""
-    if p not in (1, 2):
-        raise ValueError(f"data exponent p must be 1 or 2, got {p}")
+    _check_p(p)
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < c < np.inf:
@@ -393,10 +440,7 @@ def run_sweep(
         raise ValueError("deltas must be strictly decreasing")
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be at least 1")
-    if constants is not None and instance.p == 1 and c_alpha * constants.residual_coeff >= 1.0:
-        raise ValueError(
-            "p = 1 sweep needs c_alpha below the reciprocal of the residual coefficient"
-        )
+    _check_p1_coupling(instance.p, constants, c_alpha)
 
     cells = [(level, trial) for level in range(len(deltas)) for trial in range(trials_per_delta)]
     cell_deltas = [deltas[level] for level, _ in cells]

@@ -95,6 +95,15 @@ def _objective(u, image, data, alpha, spec):
     return _row_dots(r, r) + alpha * _penalty_value(u, spec)
 
 
+def _check_p(p, linear: bool = True) -> None:
+    """ValueError unless the data exponent p is 1 or 2, and 1 only with a
+    linear operator.  Every public entry point that takes p calls it."""
+    if p not in (1, 2):
+        raise ValueError(f"data exponent p must be 1 or 2, got {p}")
+    if p == 1 and not linear:
+        raise ValueError("data exponent p = 1 needs a linear operator")
+
+
 def _check(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol, max_iter: int, u0):
     """The (B, m) data and the per-row (B,) alpha and tol as float64, and
     the (B, n) starts (zero unless given) as a new float64 array.
@@ -103,10 +112,7 @@ def _check(op: ForwardOperator, data, spec: PenaltySpec, p, alpha, tol, max_iter
     linear operator; data and u0 must be finite, alpha and tol positive
     and finite, and max_iter at least 1.
     """
-    if p not in (1, 2):
-        raise ValueError(f"data exponent p must be 1 or 2, got {p}")
-    if p == 1 and not op.is_linear:
-        raise ValueError("data exponent p = 1 needs a linear operator")
+    _check_p(p, op.is_linear)
     data = np.asarray(data, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     tol = np.asarray(tol, dtype=np.float64)

@@ -659,7 +659,8 @@ def test_theoretical_bound_monotone_and_rejections():
     alphas = [0.4, 0.3, 0.2, 0.1]
     errs = [theoretical_bound(c1, 1, a, 0.05)[0] for a in alphas]
     assert np.all(np.diff(errs) >= 0.0)
-    with pytest.raises(ValueError):
+    # the p = 1 coupling rule that run_sweep and the CLI's sweep also call
+    with pytest.raises(ValueError, match="reciprocal of the residual coefficient; got 1$"):
         theoretical_bound(c1, 1, alpha=0.5, delta=0.1)  # alpha*beta2 = 1
     with pytest.raises(ValueError):
         theoretical_bound(c1, 3, alpha=0.1, delta=0.1)

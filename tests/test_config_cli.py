@@ -1,9 +1,11 @@
 """Config parsing round-trips and end-to-end CLI runs with exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from sparsereg.config import (
     parse_config,
     serialize_config,
 )
+from sparsereg.experiments import generate_problem
 from sparsereg.fileio import atomic_write_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -580,3 +583,80 @@ def test_cli_duplicate_positions_is_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "problem.positions" in err and "must not repeat" in err
+
+
+# each case breaks one rule on a generate_problem argument; ExperimentConfig
+# defaults fill in the rest
+@pytest.mark.parametrize(
+    "field, attrs",
+    [
+        ("problem.kind", dict(kind="banana")),
+        ("problem.n", dict(n=0, sparsity=0)),
+        ("problem.m", dict(kind="random-dense", m=0)),
+        ("problem.m", dict(m=10)),
+        ("problem.sparsity", dict(n=8, sparsity=9)),
+        ("problem.q", dict(q=2.5)),
+        ("problem.p", dict(p=3)),
+        ("problem.p", dict(kind="toy-nonlinear", p=1)),
+        ("weights.value", dict(weight=-1.0)),
+        ("weights.values", dict(n=4, weights_mode="explicit", weights=(1.0, 1.0))),
+        ("weights.values", dict(n=2, weights_mode="explicit", weights=(1.0, 0.0), sparsity=1)),
+        ("problem.matrix_path", dict(kind="csv")),
+        ("problem.kernel_width", dict(kernel_width=-1.0)),
+        ("problem.kernel_width", dict(kind="convolution", n=16, kernel_width=30.0)),
+        ("problem.decay", dict(decay=0.0)),
+        ("problem.decay", dict(n=16, decay=1e3)),
+        ("problem.positions", dict(positions=(0, 5, 5))),
+    ],
+    ids=[
+        "kind", "n", "m", "m-square", "sparsity", "q", "p", "p1-nonlinear", "weight",
+        "weights-length", "weights-positive", "csv-path", "kernel-width", "kernel-taps", "decay",
+        "decay-underflow", "positions",
+    ],
+)
+def test_problem_rules_fail_at_parse_time_with_the_library_message(field, attrs):
+    # the config and generate_problem read one rule, so they fail on the
+    # same input with the same message, the config's led by the field
+    cfg = ExperimentConfig(**attrs)
+    with pytest.raises(ConfigError) as config_exc:
+        parse_config(serialize_config(cfg))
+    args = {name: getattr(cfg, name) for name in inspect.signature(generate_problem).parameters}
+    with pytest.raises(ValueError) as library_exc:
+        generate_problem(**args)
+    assert str(config_exc.value) == f"{field}: {library_exc.value}"
+
+
+def test_parse_config_checks_without_building():
+    # no n-sized array at parse time, and the csv file is read only when
+    # the instance is built
+    tracemalloc.start()
+    try:
+        cfg = parse_config("[problem]\nn = 1000000000\nq = 1.5\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.n == 10**9 and peak < 2**20
+    cfg = parse_config("[problem]\nkind = csv\nn = 4\nmatrix_path = does/not/exist.csv\n")
+    assert cfg.matrix_path == "does/not/exist.csv"
+
+
+@pytest.mark.parametrize(
+    "sizes, matrix, message",
+    [
+        ("n = 5", "mat.csv", "problem.n: matrix file {path} has 4 columns, but n=5"),
+        ("n = 4\nm = 7", "mat.csv", "problem.m: matrix file {path} has 6 rows, but m=7"),
+        ("n = 4", "missing.csv", "problem.matrix_path: "),
+    ],
+    ids=["columns", "rows", "missing"],
+)
+def test_cli_csv_errors_name_the_field(tmp_path, capsys, sizes, matrix, message):
+    np.savetxt(tmp_path / "mat.csv", np.ones((6, 4)), delimiter=",")
+    path = tmp_path / matrix
+    cfg = _write(
+        tmp_path / "shape.cfg",
+        f"[problem]\nkind = csv\n{sizes}\nsparsity = 2\nmatrix_path = {path}\n"
+        "[solver]\nalpha = 0.1\n",
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message.format(path=path)}")
+    assert not (tmp_path / "o").exists()
